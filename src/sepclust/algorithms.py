@@ -1,14 +1,18 @@
 """Extraction of k large sigma-separated clusters from a point set.
 
-Four algorithms, all built on dense-ball extraction and quorum clustering:
+Four algorithms, built from one primitive and one rule. The primitive is
+the dense-ball engine ``geometry.DenseBalls``: the smallest alpha-ball among
+the surviving points, its alpha nearest points, and removal. The rule is
+``_select_separated``: a greedy pick of sigma-separated balls.
 
-* ``semi_separated_k``: greedy ball extraction with a scaled exclusion ball,
-  semi separation, cluster size exactly alpha.
-* ``semi_separated_k_colored``: colored variant; cluster i comes from set i.
-* ``strong_separated_k``: quorum clustering, densest epoch, greedy ball
-  picking with a sound exclusion rule; strong separation.
-* ``well_separated_k_colored``: per-color quorum clusterings merged by a
-  smallest-ball-first greedy; well separation.
+* ``semi_separated_k``: the engine, removing a scaled exclusion ball after
+  each pick; semi separation, cluster size exactly alpha.
+* ``semi_separated_k_colored``: one engine per color; cluster i comes from
+  set i.
+* ``strong_separated_k``: quorum clustering (the engine removing each
+  ball's members), densest epoch, then the selector; strong separation.
+* ``well_separated_k_colored``: per-color quorum clusterings merged by the
+  selector; well separation.
 
 Alpha (the per-cluster size target) is either explicit, derived from a
 caller-supplied constant, or found automatically as the largest value for
@@ -32,7 +36,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import REL_TOL, Ball, PointSet, closest_pair, pairwise_distances, spread
+from .geometry import (
+    REL_TOL, Ball, DenseBalls, PointSet, closest_pair, pairwise_distances, spread,
+)
 from .quorum import _quorum_steps, epochs
 from .separation import Clustering, SeparationKind, check_separation
 
@@ -161,8 +167,9 @@ def _search_max_alpha(run: Callable, cap: int):
     """Largest feasible alpha by doubling then binary search.
 
     ``run(alpha)`` returns extraction output or raises an infeasibility
-    error. Assumes downward-closed feasibility; alpha = 1 must be probed
-    first, and its failure is re-raised for the caller to map.
+    error; each alpha is run at most once. Assumes downward-closed
+    feasibility; alpha = 1 is probed first, and its error is re-raised for
+    the caller to map.
     """
     cap = max(1, int(cap))
     results = {}
@@ -171,12 +178,12 @@ def _search_max_alpha(run: Callable, cap: int):
         if a not in results:
             try:
                 results[a] = run(a)
-            except _INFEASIBLE:
-                results[a] = None
-        return results[a] is not None
+            except _INFEASIBLE as exc:
+                results[a] = exc
+        return not isinstance(results[a], _INFEASIBLE)
 
     if not feasible(1):
-        run(1)  # re-raise the typed infeasibility error
+        raise results[1]
     lo, probe = 1, 2
     while probe <= cap and feasible(probe):
         lo, probe = probe, probe * 2
@@ -238,21 +245,15 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     scale = 2.0 * sigma + 2.0
 
     def run(alpha: int):
-        alive = np.ones(n, dtype=bool)
+        engine = DenseBalls(dist, alpha)
         clusters, balls = [], []
         for it in range(k):
-            idx = np.flatnonzero(alive)
-            if idx.size < alpha:
+            if engine.alive.size < alpha:
                 raise InsufficientPoints(it)
-            sub = dist[np.ix_(idx, idx)]
-            cand = np.partition(sub, alpha - 1, axis=1)[:, alpha - 1]
-            j = int(np.argmin(cand))
-            center, r = int(idx[j]), float(cand[j])
-            drow = dist[center, idx]
-            take = np.lexsort((idx, drow))[:alpha]
-            clusters.append(np.sort(idx[take]))
+            center, r = engine.smallest()
+            clusters.append(engine.nearest(center, r))
             balls.append(Ball(coords[center].copy(), r))
-            alive[idx[drow <= scale * r * (1.0 + REL_TOL)]] = False
+            engine.remove(engine.within(center, scale * r * (1.0 + REL_TOL)))
         return clusters, balls
 
     def formula(c: float) -> int:
@@ -283,36 +284,29 @@ def semi_separated_k_colored(
     dist_c = [pairwise_distances(cc) for cc in coords_c]
 
     def run(alpha: int):
-        alive = [np.ones(cc.shape[0], dtype=bool) for cc in coords_c]
+        engines = [DenseBalls(dc, alpha) for dc in dist_c]
         active = list(range(k))
         out_clusters = [None] * k
         out_balls = [None] * k
         for it in range(k):
             best = None
             for c in active:
-                idx = np.flatnonzero(alive[c])
-                if idx.size < alpha:
+                if engines[c].alive.size < alpha:
                     raise InsufficientPoints(it)
-                sub = dist_c[c][np.ix_(idx, idx)]
-                cand = np.partition(sub, alpha - 1, axis=1)[:, alpha - 1]
-                j = int(np.argmin(cand))
-                key = (float(cand[j]), c)
-                if best is None or key < best[:2]:
-                    best = (key[0], c, int(idx[j]))
+                ctr, r = engines[c].smallest()
+                if best is None or (r, c) < best[:2]:
+                    best = (r, c, ctr)
             r, c0, ctr = best
-            idx0 = np.flatnonzero(alive[c0])
-            drow = dist_c[c0][ctr, idx0]
-            take = np.lexsort((idx0, drow))[:alpha]
-            out_clusters[c0] = np.sort(g_idx[c0][idx0[take]])
+            out_clusters[c0] = g_idx[c0][engines[c0].nearest(ctr, r)]
             out_balls[c0] = Ball(coords_c[c0][ctr].copy(), r)
             active.remove(c0)
             cut = scale * r * (1.0 + REL_TOL)
             center_pt = coords_c[c0][ctr]
             for c2 in active:
-                idx2 = np.flatnonzero(alive[c2])
+                idx2 = engines[c2].alive
                 diff = coords_c[c2][idx2] - center_pt
                 d2 = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                alive[c2][idx2[d2 <= cut]] = False
+                engines[c2].remove(idx2[d2 <= cut])
         return out_clusters, out_balls
 
     def formula(c: float) -> int:
@@ -327,6 +321,41 @@ def semi_separated_k_colored(
     )
 
 
+def _select_separated(
+    pts, radii, colors, k: int, sigma: float, r_floor: float
+) -> list:
+    """Greedy sigma-separated ball selection; returns picked candidate positions.
+
+    Candidates (centers ``pts``, ``radii``, optional ``colors``) are taken in
+    ascending (radius, color, position) order. A pick drops every remaining
+    candidate whose gap to it (center distance minus both radii) is below
+    ``2 sigma max(r_i, r_j, r_floor)`` and, on colored input, every candidate
+    of its own color. Colored input raises ``ColorExhausted`` for the lowest
+    unserved color left without candidates; plain input raises
+    ``InsufficientPoints`` with the number of balls picked.
+    """
+    pool = np.lexsort((radii,) if colors is None else (colors, radii))
+    picked = []
+    while len(picked) < k:
+        if colors is not None:
+            left = np.zeros(k, dtype=bool)
+            left[colors[pool]] = True
+            left[colors[picked]] = True
+            if not left.all():
+                raise ColorExhausted(int(np.argmin(left)))
+        if pool.size == 0:
+            raise InsufficientPoints(len(picked))
+        t0, rest = int(pool[0]), pool[1:]
+        picked.append(t0)
+        diff = pts[rest] - pts[t0]
+        gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - radii[t0] - radii[rest]
+        keep = gaps >= 2.0 * sigma * np.maximum(radii[rest], max(radii[t0], r_floor))
+        if colors is not None:
+            keep &= colors[rest] != colors[t0]
+        pool = rest[keep]
+    return picked
+
+
 def _log_spread(value: float) -> float:
     return max(1.0, math.log2(value))
 
@@ -336,8 +365,9 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
 
     Quorum-cluster the set with quota alpha, take the epoch holding the most
     full steps (ties toward the earliest epoch), then greedily pick balls in
-    ascending step order, dropping every ball whose gap to a picked ball is
-    below ``2 sigma r_hat`` (r_hat = largest candidate radius of the epoch).
+    ascending step order (full-step radii never decrease, so this is the
+    selector's radius order), dropping every ball whose gap to a picked ball
+    is below ``2 sigma r_hat`` (r_hat = largest candidate radius of the epoch).
     All cluster diameters are at most ``2 r_hat``, so the kept gaps certify
     strong separation. The trailing partial step is never picked, keeping
     every cluster at exactly alpha points.
@@ -349,22 +379,13 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
         raise ValueError(f"need at least k={k} points, got {n}")
     coords = points.coords
     dist = pairwise_distances(coords)
-    if n >= 2:
-        off = dist.copy()
-        np.fill_diagonal(off, np.inf)
-        if off.min() == 0.0:
-            raise ValueError("spread undefined: point set contains duplicates")
-    order = np.argsort(dist, axis=1, kind="stable")
+    # The diagonal is exactly zero, so any further zero is a duplicate.
+    if np.count_nonzero(dist == 0.0) > n:
+        raise ValueError("spread undefined: point set contains duplicates")
     sigma = float(cfg.sigma)
-    step_cache = {}
-
-    def steps_for(alpha: int):
-        if alpha not in step_cache:
-            step_cache[alpha] = _quorum_steps(dist, order, alpha)
-        return step_cache[alpha]
 
     def run(alpha: int):
-        raw = steps_for(alpha)
+        raw = _quorum_steps(dist, alpha)
         radii = np.array([r for _, r, _ in raw])
         full = np.array([m.size == alpha for _, _, m in raw])
         best_range, best_count = None, 0
@@ -378,18 +399,9 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
         cand = [t for t in range(s, e) if full[t]]
         centers = np.array([raw[t][0] for t in cand])
         rads = np.array([raw[t][1] for t in cand])
-        r_hat = float(rads.max())
-        thresh = 2.0 * sigma * r_hat
-        picked = []
-        pool = np.arange(len(cand))
-        while pool.size and len(picked) < k:
-            t0 = int(pool[0])
-            picked.append(t0)
-            rest = pool[1:]
-            gaps = dist[centers[t0], centers[rest]] - rads[t0] - rads[rest]
-            pool = rest[gaps >= thresh]
-        if len(picked) < k:
-            raise InsufficientPoints(len(picked))
+        picked = _select_separated(
+            coords[centers], rads, None, k, sigma, r_floor=float(rads.max())
+        )
         clusters = [raw[cand[t]][2] for t in picked]
         balls = [Ball(coords[centers[t]].copy(), float(rads[t])) for t in picked]
         return clusters, balls
@@ -434,53 +446,24 @@ def well_separated_k_colored(
     g_idx = [inst.color_indices(c) for c in range(k)]
     coords_c = [inst.points.coords[g] for g in g_idx]
     dist_c = [pairwise_distances(cc) for cc in coords_c]
-    order_c = [np.argsort(dc, axis=1, kind="stable") for dc in dist_c]
-    step_cache = {}
-
-    def steps_for(color: int, alpha: int):
-        key = (color, alpha)
-        if key not in step_cache:
-            step_cache[key] = _quorum_steps(dist_c[color], order_c[color], alpha)
-        return step_cache[key]
 
     def run(alpha: int):
-        rem = {}
-        for c in range(k):
-            raw = steps_for(c, alpha)
-            keep = [(ctr, r) for ctr, r, m in raw if m.size == alpha]
-            if not keep:
-                raise ColorExhausted(c)
-            rem[c] = {
-                "centers": np.array([ctr for ctr, _ in keep]),
-                "radii": np.array([r for _, r in keep]),
-            }
+        cand = [
+            (c, ctr, r)
+            for c in range(k)
+            for ctr, r, m in _quorum_steps(dist_c[c], alpha)
+            if m.size == alpha
+        ]
+        colors = np.array([c for c, _, _ in cand], dtype=int)
+        rads = np.array([r for _, _, r in cand], dtype=float)
+        pts = inst.points.coords[[g_idx[c][ctr] for c, ctr, _ in cand]]
         out_clusters = [None] * k
         out_balls = [None] * k
-        for _ in range(k):
-            for c in range(k):
-                if out_clusters[c] is None and rem[c]["radii"].size == 0:
-                    raise ColorExhausted(c)
-            best = None
-            for c, entry in rem.items():
-                j = int(np.argmin(entry["radii"]))
-                key = (float(entry["radii"][j]), c)
-                if best is None or key < best[:2]:
-                    best = (key[0], c, j)
-            r0, c0, j0 = best
-            ctr = int(rem[c0]["centers"][j0])
+        for t in _select_separated(pts, rads, colors, k, sigma, r_floor=0.0):
+            c0, ctr, r0 = cand[t]
             covered = np.flatnonzero(dist_c[c0][ctr] <= r0)
-            out_clusters[c0] = np.sort(g_idx[c0][covered])
-            center_pt = coords_c[c0][ctr]
-            out_balls[c0] = Ball(center_pt.copy(), r0)
-            del rem[c0]
-            for c2, entry in rem.items():
-                pts = coords_c[c2][entry["centers"]]
-                diff = pts - center_pt
-                d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                gaps = d - entry["radii"] - r0
-                keep = gaps >= 2.0 * sigma * np.maximum(entry["radii"], r0)
-                entry["centers"] = entry["centers"][keep]
-                entry["radii"] = entry["radii"][keep]
+            out_clusters[c0] = g_idx[c0][covered]
+            out_balls[c0] = Ball(pts[t].copy(), r0)
         return out_clusters, out_balls
 
     def formula(c: float) -> int:

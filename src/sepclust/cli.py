@@ -64,6 +64,9 @@ _ALGOS = {
     "well-colored": (well_separated_k_colored, True),
 }
 
+# Generator options that map one to one onto GeneratorSpec fields.
+_SPEC_FIELDS = ("side", "n", "dim", "spread", "eps", "seed")
+
 BENCH_COLUMNS = [
     "generator",
     "n",
@@ -98,30 +101,16 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_generate(args) -> int:
-    kind = args.generator
-    if kind == "grid":
-        obj = GeneratorSpec(kind="grid", side=args.side, dim=args.dim).build()
-    elif kind == "expline":
-        obj = GeneratorSpec(kind="expline", n=args.n).build()
-    elif kind == "threecolor":
-        obj = GeneratorSpec(kind="threecolor", n=args.n).build()
-    elif kind == "expgrid":
-        obj = GeneratorSpec(
-            kind="expgrid", n=args.n, spread=args.spread, dim=args.dim
-        ).build()
-    elif kind == "kcopies":
+    if args.generator == "kcopies":
         base = read_points(args.input)
         if isinstance(base, ColoredInstance):
             raise ValueError("kcopies expects an uncolored points file")
         obj = gen_k_copies(base, args.k)
-    elif kind == "nearuniform":
-        obj = GeneratorSpec(
-            kind="nearuniform", n=args.n, eps=args.eps, seed=_resolve_seed(args.seed)
-        ).build()
     else:
-        obj = GeneratorSpec(
-            kind="random", n=args.n, dim=args.dim, seed=_resolve_seed(args.seed)
-        ).build()
+        fields = {f: v for f, v in vars(args).items() if f in _SPEC_FIELDS}
+        if "seed" in fields:
+            fields["seed"] = _resolve_seed(fields["seed"])
+        obj = GeneratorSpec(kind=args.generator, **fields).build()
     _emit(points_text(obj), args.out)
     return 0
 

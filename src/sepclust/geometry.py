@@ -11,6 +11,7 @@ as the exponential line keep full precision.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,21 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     return out
 
 
+def _blocked_sq(a, b, reduce, skip_self: bool = False) -> float:
+    """Square root of ``reduce`` (``np.min`` or ``np.max``) over the squared
+    distances between rows of ``a`` and ``b``, computed in row blocks.
+    ``skip_self`` leaves out the pairs (i, i) when ``b`` is ``a``."""
+    parts = []
+    for s in range(0, a.shape[0], _BLOCK):
+        e = min(s + _BLOCK, a.shape[0])
+        diff = a[s:e, None, :] - b[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        if skip_self:
+            d2[np.arange(e - s), np.arange(s, e)] = np.inf
+        parts.append(reduce(d2))
+    return float(np.sqrt(reduce(parts)))
+
+
 def set_distance(x, y) -> float:
     """Minimum distance over all cross pairs of two nonempty point sets."""
     xa, ya = _coords_of(x), _coords_of(y)
@@ -140,14 +156,7 @@ def set_distance(x, y) -> float:
         raise ValueError("set_distance requires nonempty sets")
     if xa.shape[1] != ya.shape[1]:
         raise ValueError("dimension mismatch")
-    best = np.inf
-    for s in range(0, xa.shape[0], _BLOCK):
-        diff = xa[s : s + _BLOCK, None, :] - ya[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        m = d2.min()
-        if m < best:
-            best = m
-    return float(np.sqrt(best))
+    return _blocked_sq(xa, ya, np.min)
 
 
 def diameter(ps) -> float:
@@ -158,32 +167,15 @@ def diameter(ps) -> float:
         raise ValueError("diameter of an empty set is undefined")
     if n == 1:
         return 0.0
-    best = 0.0
-    for s in range(0, n, _BLOCK):
-        diff = c[s : s + _BLOCK, None, :] - c[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        m = d2.max()
-        if m > best:
-            best = m
-    return float(np.sqrt(best))
+    return _blocked_sq(c, c, np.max)
 
 
 def closest_pair(ps) -> float:
     """Minimum distance over distinct index pairs (zero if points repeat)."""
     c = _coords_of(ps)
-    n = c.shape[0]
-    if n < 2:
+    if c.shape[0] < 2:
         raise ValueError("closest_pair requires at least two points")
-    best = np.inf
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        diff = c[s:e, None, :] - c[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        d2[np.arange(e - s), np.arange(s, e)] = np.inf
-        m = d2.min()
-        if m < best:
-            best = m
-    return float(np.sqrt(best))
+    return _blocked_sq(c, c, np.min, skip_self=True)
 
 
 def spread(ps) -> float:
@@ -194,14 +186,78 @@ def spread(ps) -> float:
     return diameter(ps) / cp
 
 
+class DenseBalls:
+    """Smallest alpha-balls among the alive points of one distance matrix.
+
+    The candidate radius of an alive center is its alpha-th smallest distance
+    to the alive points (self included); the smallest candidate is a
+    2-approximate smallest ball covering alpha alive points. A lazy min-heap
+    holds each center's last computed radius, stamped with the removal count
+    at that time. Removals only grow radii, so the first popped entry with a
+    current stamp is exact and minimal (ties to the smallest index), whatever
+    a caller removes. A stale entry is recomputed by partitioning the
+    center's alive row; no row is ever sorted.
+    """
+
+    def __init__(self, dist: np.ndarray, alpha: int):
+        n = dist.shape[0]
+        self.dist = dist
+        self.alpha = int(alpha)
+        self.alive = np.arange(n)  # ascending indices of the alive points
+        self._live = np.ones(n, dtype=bool)
+        self._stamp = 0
+        self._heap = []
+        if n >= self.alpha:
+            a = self.alpha - 1
+            start = np.concatenate([
+                np.partition(dist[s : s + _BLOCK], a, axis=1)[:, a]
+                for s in range(0, n, _BLOCK)
+            ])
+            self._heap = list(zip(start.tolist(), range(n), [0] * n))
+            heapq.heapify(self._heap)
+
+    def smallest(self) -> tuple:
+        """(center, radius) of the smallest alpha-ball; needs alpha alive points."""
+        heap, live, stamp, a = self._heap, self._live, self._stamp, self.alpha - 1
+        while True:
+            r, i, s = heap[0]
+            if not live[i]:
+                heapq.heappop(heap)
+            elif s == stamp:
+                return i, r
+            else:
+                row = self.dist[i][self.alive]
+                row.partition(a)
+                heapq.heapreplace(heap, (float(row[a]), i, stamp))
+
+    def within(self, center: int, radius: float) -> np.ndarray:
+        """Alive points at distance at most ``radius`` from ``center``, ascending."""
+        return self.alive[self.dist[center][self.alive] <= radius]
+
+    def nearest(self, center: int, radius: float) -> np.ndarray:
+        """The alpha alive points nearest ``center`` (ties by index), ascending;
+        ``radius`` is the center's radius from :meth:`smallest`."""
+        d = self.dist[center][self.alive]
+        take = d <= radius
+        if np.count_nonzero(take) > self.alpha:
+            take = d < radius
+            ties = np.flatnonzero(d == radius)
+            take[ties[: self.alpha - np.count_nonzero(take)]] = True
+        return self.alive[take]
+
+    def remove(self, points: np.ndarray) -> None:
+        if points.size:
+            self._live[points] = False
+            self.alive = self._live.nonzero()[0]
+            self._stamp += 1
+
+
 def approx_min_ball_alpha(ps, alpha: int) -> Ball:
     """2-approximate smallest ball covering at least ``alpha`` points.
 
-    Candidate centers are restricted to input points; the candidate radius of
-    a center is its alpha-th smallest distance to the set (self included).
-    Recentering an optimal ball at one of its covered points at most doubles
-    the radius, so the winning radius lies in [r_opt, 2 r_opt]. Ties between
-    candidate radii are broken by the smallest center index.
+    The first pick of :class:`DenseBalls` on the whole set: recentering an
+    optimal ball at one of its covered points at most doubles the radius, so
+    the radius lies in [r_opt, 2 r_opt]. Ties go to the smallest index.
     """
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
@@ -209,7 +265,5 @@ def approx_min_ball_alpha(ps, alpha: int) -> Ball:
     alpha = int(alpha)
     if alpha < 1 or alpha > n:
         raise ValueError(f"alpha must be in [1, {n}], got {alpha}")
-    dist = pairwise_distances(ps.coords)
-    radii = np.partition(dist, alpha - 1, axis=1)[:, alpha - 1]
-    i = int(np.argmin(radii))
-    return Ball(ps.coords[i].copy(), float(radii[i]))
+    i, r = DenseBalls(pairwise_distances(ps.coords), alpha).smallest()
+    return Ball(ps.coords[i].copy(), r)

@@ -2,19 +2,19 @@
 
 Quorum clustering repeatedly extracts a 2-approximate smallest ball holding a
 fixed quota of the surviving points, removes exactly that quota, and repeats
-until the set is exhausted; the final step may hold fewer points. The radius
-sequence splits greedily into epochs: maximal runs whose radii stay within 4x
-the run's first radius.
+until the set is exhausted; the final step may hold fewer points. The balls
+come from the dense-ball engine ``geometry.DenseBalls``, which reads only the
+distance matrix. The radius sequence splits greedily into epochs: maximal
+runs whose radii stay within 4x the run's first radius.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import REL_TOL, Ball, PointSet, pairwise_distances
+from .geometry import REL_TOL, Ball, DenseBalls, PointSet, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,53 +55,26 @@ class EpochPartition:
         return iter(self.ranges)
 
 
-def _quorum_steps(dist: np.ndarray, order: np.ndarray, gamma: int) -> list:
-    """Engine on a precomputed distance matrix and stable argsort of its rows.
+def _quorum_steps(dist: np.ndarray, gamma: int) -> list:
+    """Quorum clustering on a precomputed distance matrix.
 
-    Returns [(center_index, radius, sorted_member_indices), ...]. Uses a lazy
-    min-heap of cached candidate radii: removals only grow a center's true
-    radius, so a popped stale entry is recomputed (one vectorized scan of its
-    presorted row) and pushed back; an entry recomputed within the current
-    step is exact and wins. Ties break toward the smallest center index.
+    Returns [(center_index, radius, sorted_member_indices), ...]. Every full
+    step is the :class:`DenseBalls` engine's smallest gamma-ball among the
+    survivors and removes its gamma members, the covered points nearest the
+    center (ties by index). The last step swallows the at most gamma points
+    left, centered where the largest distance to them is smallest.
     """
-    n = dist.shape[0]
-    alive = np.ones(n, dtype=bool)
-    n_alive = n
+    balls = DenseBalls(dist, gamma)
     out = []
-    heap = []
-    if n > gamma:
-        start = np.partition(dist, gamma - 1, axis=1)[:, gamma - 1]
-        heap = [(float(start[i]), i, 0) for i in range(n)]
-        heapq.heapify(heap)
-    stamp = 0
-    while n_alive > 0:
-        if n_alive <= gamma:
-            # Last step swallows every survivor; radius is the best max-distance.
-            idx = np.flatnonzero(alive)
-            far = dist[np.ix_(idx, idx)].max(axis=1)
-            j = int(np.argmin(far))
-            out.append((int(idx[j]), float(far[j]), idx))
-            alive[idx] = False
-            n_alive = 0
-            break
-        stamp += 1
-        while True:
-            r, i, s = heapq.heappop(heap)
-            if not alive[i]:
-                continue
-            if s == stamp:
-                center, radius = i, r
-                break
-            row = order[i]
-            pos = np.flatnonzero(alive[row])
-            jth = row[pos[gamma - 1]]
-            heapq.heappush(heap, (float(dist[i, jth]), i, stamp))
-        row = order[center]
-        pos = np.flatnonzero(alive[row])[:gamma]
-        members = row[pos]
-        out.append((center, radius, np.sort(members)))
-        alive[members] = False
-        n_alive -= gamma
+    while balls.alive.size > gamma:
+        center, radius = balls.smallest()
+        members = balls.nearest(center, radius)
+        balls.remove(members)
+        out.append((center, radius, members))
+    idx = balls.alive
+    far = dist[np.ix_(idx, idx)].max(axis=1)
+    j = int(np.argmin(far))
+    out.append((int(idx[j]), float(far[j]), idx))
     return out
 
 
@@ -117,9 +90,7 @@ def quorum_clustering(ps: PointSet, gamma: int) -> QuorumClustering:
     gamma = int(gamma)
     if gamma < 1 or gamma > ps.n:
         raise ValueError(f"gamma must be in [1, {ps.n}], got {gamma}")
-    dist = pairwise_distances(ps.coords)
-    order = np.argsort(dist, axis=1, kind="stable")
-    raw = _quorum_steps(dist, order, gamma)
+    raw = _quorum_steps(pairwise_distances(ps.coords), gamma)
     steps = tuple(
         QuorumStep(Ball(ps.coords[c].copy(), r), np.asarray(m, dtype=int))
         for c, r, m in raw

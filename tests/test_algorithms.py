@@ -312,3 +312,131 @@ def test_colored_instance_validation():
     inst = ColoredInstance(PointSet([0.0, 1.0, 2.0]), np.array([1, 0, 1]))
     assert inst.k == 2 and inst.sizes == [1, 2]
     assert inst.color_indices(1).tolist() == [0, 2]
+
+
+def _naive_semi(coords, k, sigma, alpha):
+    # literal restatement: per iteration, re-partition the survivor
+    # submatrix, keep the alpha nearest (lexsort by distance then index)
+    # and discard the (2 sigma + 2)-scaled ball
+    from sepclust.geometry import REL_TOL, pairwise_distances
+
+    n = len(coords)
+    dist = pairwise_distances(coords)
+    scale = 2.0 * sigma + 2.0
+    alive = np.ones(n, dtype=bool)
+    clusters, balls = [], []
+    for it in range(k):
+        idx = np.flatnonzero(alive)
+        if idx.size < alpha:
+            raise InsufficientPoints(it)
+        sub = dist[np.ix_(idx, idx)]
+        cand = np.partition(sub, alpha - 1, axis=1)[:, alpha - 1]
+        j = int(np.argmin(cand))
+        center, r = int(idx[j]), float(cand[j])
+        drow = dist[center, idx]
+        take = np.lexsort((idx, drow))[:alpha]
+        clusters.append(np.sort(idx[take]))
+        balls.append((coords[center].copy(), r))
+        alive[idx[drow <= scale * r * (1.0 + REL_TOL)]] = False
+    return clusters, balls
+
+
+def _naive_semi_colored(inst, k, sigma, alpha):
+    # colored counterpart of _naive_semi, one survivor mask per color
+    from sepclust.geometry import REL_TOL, pairwise_distances
+
+    scale = 2.0 * sigma + 2.0
+    g_idx = [inst.color_indices(c) for c in range(k)]
+    coords_c = [inst.points.coords[g] for g in g_idx]
+    dist_c = [pairwise_distances(cc) for cc in coords_c]
+    alive = [np.ones(cc.shape[0], dtype=bool) for cc in coords_c]
+    active = list(range(k))
+    out_clusters = [None] * k
+    out_balls = [None] * k
+    for it in range(k):
+        best = None
+        for c in active:
+            idx = np.flatnonzero(alive[c])
+            if idx.size < alpha:
+                raise InsufficientPoints(it)
+            sub = dist_c[c][np.ix_(idx, idx)]
+            cand = np.partition(sub, alpha - 1, axis=1)[:, alpha - 1]
+            j = int(np.argmin(cand))
+            key = (float(cand[j]), c)
+            if best is None or key < best[:2]:
+                best = (key[0], c, int(idx[j]))
+        r, c0, ctr = best
+        idx0 = np.flatnonzero(alive[c0])
+        drow = dist_c[c0][ctr, idx0]
+        take = np.lexsort((idx0, drow))[:alpha]
+        out_clusters[c0] = np.sort(g_idx[c0][idx0[take]])
+        out_balls[c0] = (coords_c[c0][ctr].copy(), r)
+        active.remove(c0)
+        cut = scale * r * (1.0 + REL_TOL)
+        center_pt = coords_c[c0][ctr]
+        for c2 in active:
+            idx2 = np.flatnonzero(alive[c2])
+            diff = coords_c[c2][idx2] - center_pt
+            d2 = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            alive[c2][idx2[d2 <= cut]] = False
+    return out_clusters, out_balls
+
+
+def _assert_same_as_naive(run, naive, alpha):
+    try:
+        want = naive(alpha)
+    except InsufficientPoints as exc:
+        with pytest.raises(InsufficientPoints) as got:
+            run(alpha)
+        assert got.value.iteration == exc.iteration
+        return
+    got = run(alpha)
+    assert got.alpha == alpha
+    assert len(got.clusters) == len(want[0])
+    for cl, ref in zip(got.clusters, want[0]):
+        assert np.array_equal(cl, ref)
+    for ball, (center, radius) in zip(got.balls, want[1]):
+        assert np.array_equal(ball.center, center)
+        assert ball.radius == radius
+
+
+def _semi_differential_inputs():
+    rng = np.random.default_rng(77)
+    dup = rng.random((36, 2)) * 4
+    dup[:12] = dup[0]  # duplicate block
+    return [
+        rng.random((40, 1)) * 10,
+        rng.random((42, 2)),
+        rng.random((30, 3)) * 3,
+        dup,
+        gen_grid(6, 2).coords,
+    ]
+
+
+@pytest.mark.parametrize("k,sigma", [(2, 1.0), (3, 2.0)])
+def test_semi_engine_matches_naive_reference(k, sigma):
+    for coords in _semi_differential_inputs():
+        ps = PointSet(coords)
+        for alpha in range(1, ps.n // k + 1):
+            _assert_same_as_naive(
+                lambda a: semi_separated_k(
+                    ps, ExtractionConfig(sigma=sigma, k=k, alpha=a)
+                ),
+                lambda a: _naive_semi(ps.coords, k, sigma, a),
+                alpha,
+            )
+
+
+@pytest.mark.parametrize("k,sigma", [(2, 1.0), (3, 2.0)])
+def test_semi_colored_engine_matches_naive_reference(k, sigma):
+    for coords in _semi_differential_inputs():
+        ps = PointSet(coords)
+        inst = ColoredInstance(ps, np.arange(ps.n) % k)
+        for alpha in range(1, min(inst.sizes) + 1):
+            _assert_same_as_naive(
+                lambda a: semi_separated_k_colored(
+                    inst, ExtractionConfig(sigma=sigma, k=k, alpha=a)
+                ),
+                lambda a: _naive_semi_colored(inst, k, sigma, a),
+                alpha,
+            )
