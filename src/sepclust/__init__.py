@@ -52,9 +52,7 @@ from .oracle import (
     exact_min_ball_alpha,
 )
 from .quorum import (
-    EpochPartition,
     QuorumClustering,
-    QuorumStep,
     cover_depth,
     epochs,
     max_epoch_depth,
@@ -77,7 +75,6 @@ __all__ = [
     "ColorExhausted",
     "ColoredInstance",
     "EmbeddingFailed",
-    "EpochPartition",
     "ExtractionConfig",
     "GeneratorSpec",
     "InstanceTooSeparationHostile",
@@ -86,7 +83,6 @@ __all__ = [
     "OracleBudgetExceeded",
     "PointSet",
     "QuorumClustering",
-    "QuorumStep",
     "REL_TOL",
     "SeparationKind",
     "VerificationFailed",

@@ -15,10 +15,13 @@ the surviving points, its alpha nearest points, and removal. The rule is
   selector; well separation.
 
 Alpha (the per-cluster size target) is either explicit, derived from a
-caller-supplied constant, or found automatically as the largest value for
-which extraction completes (doubling then binary search; feasibility is
-downward closed in practice). Every returned clustering is re-verified with
-``check_separation`` before it leaves this module.
+caller-supplied constant, or found automatically by doubling then binary
+search. Auto mode returns a feasible alpha whose alpha + 1 was probed and
+failed, or one equal to the cap (n // k, or the smallest color size).
+Feasibility is not downward closed, so a larger alpha may still succeed;
+auto mode does not promise the largest feasible alpha. Every returned
+clustering is re-verified with ``check_separation`` before it leaves this
+module.
 
 Exclusion rules are stated on balls. Two balls are treated as sigma-separated
 when the gap between them (center distance minus both radii) is at least
@@ -122,7 +125,8 @@ class ColoredInstance:
 class ExtractionConfig:
     """Separation sigma, cluster count k, and the alpha policy.
 
-    ``alpha=None`` selects auto mode (maximize feasible alpha). ``c_override``
+    ``alpha=None`` selects auto mode (a feasible alpha whose successor is
+    infeasible, or the cap; see ``_search_max_alpha``). ``c_override``
     instead derives alpha from the classical formula with the given constant;
     it is mutually exclusive with an explicit alpha.
     """
@@ -164,12 +168,14 @@ _INFEASIBLE = (InsufficientPoints, ColorExhausted)
 
 
 def _search_max_alpha(run: Callable, cap: int):
-    """Largest feasible alpha by doubling then binary search.
+    """A locally maximal feasible alpha by doubling then binary search.
 
     ``run(alpha)`` returns extraction output or raises an infeasibility
-    error; each alpha is run at most once. Assumes downward-closed
-    feasibility; alpha = 1 is probed first, and its error is re-raised for
-    the caller to map.
+    error; each alpha is run at most once. The returned alpha is feasible,
+    and either alpha + 1 was probed infeasible or alpha equals ``cap``.
+    Feasibility is not downward closed, so this need not be the largest
+    feasible alpha. Alpha = 1 is probed first, and its error is re-raised
+    for the caller to map.
     """
     cap = max(1, int(cap))
     results = {}
@@ -385,25 +391,22 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     sigma = float(cfg.sigma)
 
     def run(alpha: int):
-        raw = _quorum_steps(dist, alpha)
-        radii = np.array([r for _, r, _ in raw])
-        full = np.array([m.size == alpha for _, _, m in raw])
+        qc = _quorum_steps(dist, alpha)
+        n_full = qc.full_steps
         best_range, best_count = None, 0
-        for s, e in epochs(radii):
-            cnt = int(full[s:e].sum())
+        for s, e in epochs(qc.radii):
+            cnt = min(e, n_full) - s
             if cnt > best_count:
                 best_range, best_count = (s, e), cnt
         if best_range is None:
             raise InsufficientPoints(0)
-        s, e = best_range
-        cand = [t for t in range(s, e) if full[t]]
-        centers = np.array([raw[t][0] for t in cand])
-        rads = np.array([raw[t][1] for t in cand])
+        cand = np.arange(best_range[0], min(best_range[1], n_full))
+        centers, rads = qc.centers[cand], qc.radii[cand]
         picked = _select_separated(
             coords[centers], rads, None, k, sigma, r_floor=float(rads.max())
         )
-        clusters = [raw[cand[t]][2] for t in picked]
-        balls = [Ball(coords[centers[t]].copy(), float(rads[t])) for t in picked]
+        clusters = [qc.members[cand[t]] for t in picked]
+        balls = [Ball(coords[centers[t]].copy(), rads[t]) for t in picked]
         return clusters, balls
 
     def formula(c: float) -> int:
@@ -448,22 +451,21 @@ def well_separated_k_colored(
     dist_c = [pairwise_distances(cc) for cc in coords_c]
 
     def run(alpha: int):
-        cand = [
-            (c, ctr, r)
-            for c in range(k)
-            for ctr, r, m in _quorum_steps(dist_c[c], alpha)
-            if m.size == alpha
-        ]
-        colors = np.array([c for c, _, _ in cand], dtype=int)
-        rads = np.array([r for _, _, r in cand], dtype=float)
-        pts = inst.points.coords[[g_idx[c][ctr] for c, ctr, _ in cand]]
+        qcs = [_quorum_steps(dc, alpha) for dc in dist_c]
+        heads = [qc.full_steps for qc in qcs]
+        colors = np.repeat(np.arange(k), heads)
+        ctrs = np.concatenate([qc.centers[:h] for qc, h in zip(qcs, heads)])
+        rads = np.concatenate([qc.radii[:h] for qc, h in zip(qcs, heads)])
+        pts = np.concatenate(
+            [cc[qc.centers[:h]] for cc, qc, h in zip(coords_c, qcs, heads)]
+        )
         out_clusters = [None] * k
         out_balls = [None] * k
         for t in _select_separated(pts, rads, colors, k, sigma, r_floor=0.0):
-            c0, ctr, r0 = cand[t]
-            covered = np.flatnonzero(dist_c[c0][ctr] <= r0)
+            c0 = colors[t]
+            covered = np.flatnonzero(dist_c[c0][ctrs[t]] <= rads[t])
             out_clusters[c0] = g_idx[c0][covered]
-            out_balls[c0] = Ball(pts[t].copy(), r0)
+            out_balls[c0] = Ball(pts[t].copy(), rads[t])
         return out_clusters, out_balls
 
     def formula(c: float) -> int:

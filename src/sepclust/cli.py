@@ -45,7 +45,7 @@ from .files import (
     read_clustering,
     read_points,
 )
-from .generators import GeneratorSpec, gen_k_copies
+from .generators import GENERATORS, GeneratorSpec, gen_k_copies
 from .geometry import spread
 from .oracle import (
     OracleBudget,
@@ -63,9 +63,6 @@ _ALGOS = {
     "strong": (strong_separated_k, False),
     "well-colored": (well_separated_k_colored, True),
 }
-
-# Generator options that map one to one onto GeneratorSpec fields.
-_SPEC_FIELDS = ("side", "n", "dim", "spread", "eps", "seed")
 
 BENCH_COLUMNS = [
     "generator",
@@ -107,7 +104,7 @@ def _cmd_generate(args) -> int:
             raise ValueError("kcopies expects an uncolored points file")
         obj = gen_k_copies(base, args.k)
     else:
-        fields = {f: v for f, v in vars(args).items() if f in _SPEC_FIELDS}
+        fields = {f: getattr(args, f) for f in GENERATORS[args.generator][1]}
         if "seed" in fields:
             fields["seed"] = _resolve_seed(fields["seed"])
         obj = GeneratorSpec(kind=args.generator, **fields).build()
@@ -313,35 +310,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a points file")
     gsub = gen.add_subparsers(dest="generator", required=True)
-    g = gsub.add_parser("grid")
-    g.add_argument("--side", type=int, required=True)
-    g.add_argument("--dim", type=int, required=True)
-    _add_out(g)
-    g = gsub.add_parser("expline")
-    g.add_argument("--n", type=int, required=True)
-    _add_out(g)
-    g = gsub.add_parser("threecolor")
-    g.add_argument("--n", type=int, required=True)
-    _add_out(g)
-    g = gsub.add_parser("expgrid")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--spread", type=float, required=True)
-    g.add_argument("--dim", type=int, required=True)
-    _add_out(g)
-    g = gsub.add_parser("kcopies")
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--input", required=True)
-    _add_out(g)
-    g = gsub.add_parser("nearuniform")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--eps", type=float, required=True)
-    g.add_argument("--seed", type=int, default=None)
-    _add_out(g)
-    g = gsub.add_parser("random")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--dim", type=int, required=True)
-    g.add_argument("--seed", type=int, default=None)
-    _add_out(g)
+    for kind, (_, fields) in GENERATORS.items():
+        g = gsub.add_parser(kind)
+        for f in fields:
+            if f == "base":
+                g.add_argument("--input", required=True)
+            elif f == "seed":
+                g.add_argument("--seed", type=int, default=None)
+            else:
+                ftype = float if f in ("spread", "eps") else int
+                g.add_argument(f"--{f}", type=ftype, required=True)
+        _add_out(g)
     gen.set_defaults(func=_cmd_generate)
 
     clu = sub.add_parser("cluster", help="run an extraction algorithm")
@@ -351,7 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = clu.add_mutually_exclusive_group()
     mode.add_argument("--alpha", type=int, default=None)
     mode.add_argument(
-        "--auto", action="store_true", help="maximize feasible alpha (default)"
+        "--auto",
+        action="store_true",
+        help="search a feasible alpha whose alpha+1 fails, or the cap n//k or "
+        "smallest color size (default)",
     )
     clu.add_argument("--in", dest="infile", required=True)
     clu.add_argument("--seed", type=int, default=None, help="echoed into the output")

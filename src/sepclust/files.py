@@ -135,11 +135,6 @@ def parse_clustering(text: str) -> dict:
     return data
 
 
-def write_clustering(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(clustering_text(payload))
-
-
 def read_clustering(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_clustering(fh.read())

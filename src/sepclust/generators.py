@@ -189,16 +189,17 @@ def gen_random_uniform(n: int, dim: int, seed: int) -> PointSet:
     return PointSet(rng.random((n, dim)))
 
 
-_KINDS = (
-    "grid",
-    "expline",
-    "threecolor",
-    "expgrid",
-    "kcopies",
-    "nearuniform",
-    "random",
-)
-_SEEDED_KINDS = ("nearuniform", "random")
+# Every generator kind: its builder and the GeneratorSpec fields passed to it,
+# in argument order. A "base" field is itself a spec, built first.
+GENERATORS = {
+    "grid": (gen_grid, ("side", "dim")),
+    "expline": (gen_exponential_line, ("n",)),
+    "threecolor": (gen_three_color_line, ("n",)),
+    "expgrid": (gen_exponential_ring_grid, ("n", "spread", "dim")),
+    "kcopies": (gen_k_copies, ("base", "k")),
+    "nearuniform": (gen_near_uniform_highdim, ("n", "eps", "seed")),
+    "random": (gen_random_uniform, ("n", "dim", "seed")),
+}
 
 
 @dataclass(frozen=True)
@@ -216,31 +217,16 @@ class GeneratorSpec:
     base: Optional["GeneratorSpec"] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind: {self.kind!r}")
-        if self.kind in _SEEDED_KINDS and self.seed is None:
+        if "seed" in GENERATORS[self.kind][1] and self.seed is None:
             raise ValueError(f"generator {self.kind!r} requires a seed")
 
     def build(self):
-        if self.kind == "grid":
-            return gen_grid(self._req("side"), self._req("dim"))
-        if self.kind == "expline":
-            return gen_exponential_line(self._req("n"))
-        if self.kind == "threecolor":
-            return gen_three_color_line(self._req("n"))
-        if self.kind == "expgrid":
-            return gen_exponential_ring_grid(
-                self._req("n"), self._req("spread"), self._req("dim")
-            )
-        if self.kind == "kcopies":
-            if self.base is None:
-                raise ValueError("kcopies needs a base generator")
-            return gen_k_copies(self.base.build(), self._req("k"))
-        if self.kind == "nearuniform":
-            return gen_near_uniform_highdim(
-                self._req("n"), self._req("eps"), self._req("seed")
-            )
-        return gen_random_uniform(self._req("n"), self._req("dim"), self._req("seed"))
+        builder, fields = GENERATORS[self.kind]
+        args = [self._req(f) for f in fields]
+        args = [a.build() if f == "base" else a for f, a in zip(fields, args)]
+        return builder(*args)
 
     def _req(self, name: str):
         value = getattr(self, name)

@@ -4,8 +4,12 @@ Quorum clustering repeatedly extracts a 2-approximate smallest ball holding a
 fixed quota of the surviving points, removes exactly that quota, and repeats
 until the set is exhausted; the final step may hold fewer points. The balls
 come from the dense-ball engine ``geometry.DenseBalls``, which reads only the
-distance matrix. The radius sequence splits greedily into epochs: maximal
-runs whose radii stay within 4x the run's first radius.
+distance matrix. A :class:`QuorumClustering` keeps the steps as aligned
+arrays: step t is centered at point ``qc.centers[t]`` with radius
+``qc.radii[t]`` and removed the sorted indices ``qc.members[t]``. The radius
+sequence splits greedily into epochs: maximal runs whose radii stay within
+4x the run's first radius, returned by ``epochs`` as a tuple of half-open
+``(start, end)`` step ranges.
 """
 
 from __future__ import annotations
@@ -14,68 +18,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import REL_TOL, Ball, DenseBalls, PointSet, pairwise_distances
-
-
-@dataclass(frozen=True, eq=False)
-class QuorumStep:
-    """One extraction step: the ball and the removed member indices."""
-
-    ball: Ball
-    members: np.ndarray  # sorted ascending original indices
+from .geometry import REL_TOL, DenseBalls, PointSet, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
 class QuorumClustering:
+    """Steps of one quorum clustering with quota ``gamma``, as aligned arrays.
+
+    ``centers`` holds the center point indices, ``radii`` the ball radii and
+    ``members`` the sorted member index arrays. Every step but possibly the
+    last holds exactly ``gamma`` members, so the full steps form a prefix.
+    """
+
     gamma: int
-    steps: tuple
+    centers: np.ndarray
     radii: np.ndarray
+    members: tuple
 
     def __post_init__(self):
-        if len(self.steps) != self.radii.shape[0]:
-            raise ValueError("radii must align with steps")
+        if not len(self.centers) == len(self.radii) == len(self.members):
+            raise ValueError("centers, radii and members must align")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.members)
 
-    def epoch_partition(self) -> "EpochPartition":
+    @property
+    def full_steps(self) -> int:
+        """Number of steps holding exactly ``gamma`` members (a prefix)."""
+        return len(self.members) - (self.members[-1].size < self.gamma)
+
+    def epoch_partition(self) -> tuple:
         return epochs(self.radii)
 
 
-@dataclass(frozen=True)
-class EpochPartition:
-    """Half-open step-index ranges partitioning the radius sequence."""
-
-    ranges: tuple
-
-    def __len__(self) -> int:
-        return len(self.ranges)
-
-    def __iter__(self):
-        return iter(self.ranges)
-
-
-def _quorum_steps(dist: np.ndarray, gamma: int) -> list:
+def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
     """Quorum clustering on a precomputed distance matrix.
 
-    Returns [(center_index, radius, sorted_member_indices), ...]. Every full
-    step is the :class:`DenseBalls` engine's smallest gamma-ball among the
-    survivors and removes its gamma members, the covered points nearest the
-    center (ties by index). The last step swallows the at most gamma points
-    left, centered where the largest distance to them is smallest.
+    Every full step is the :class:`DenseBalls` engine's smallest gamma-ball
+    among the survivors and removes its gamma members, the covered points
+    nearest the center (ties by index). The last step swallows the at most
+    gamma points left, centered where the largest distance to them is
+    smallest.
     """
     balls = DenseBalls(dist, gamma)
-    out = []
+    centers, radii, members = [], [], []
     while balls.alive.size > gamma:
         center, radius = balls.smallest()
-        members = balls.nearest(center, radius)
-        balls.remove(members)
-        out.append((center, radius, members))
+        taken = balls.nearest(center, radius)
+        balls.remove(taken)
+        centers.append(center)
+        radii.append(radius)
+        members.append(taken)
     idx = balls.alive
     far = dist[np.ix_(idx, idx)].max(axis=1)
     j = int(np.argmin(far))
-    out.append((int(idx[j]), float(far[j]), idx))
-    return out
+    centers.append(int(idx[j]))
+    radii.append(float(far[j]))
+    members.append(idx)
+    return QuorumClustering(
+        gamma, np.array(centers, dtype=int), np.array(radii), tuple(members)
+    )
 
 
 def quorum_clustering(ps: PointSet, gamma: int) -> QuorumClustering:
@@ -90,17 +92,14 @@ def quorum_clustering(ps: PointSet, gamma: int) -> QuorumClustering:
     gamma = int(gamma)
     if gamma < 1 or gamma > ps.n:
         raise ValueError(f"gamma must be in [1, {ps.n}], got {gamma}")
-    raw = _quorum_steps(pairwise_distances(ps.coords), gamma)
-    steps = tuple(
-        QuorumStep(Ball(ps.coords[c].copy(), r), np.asarray(m, dtype=int))
-        for c, r, m in raw
-    )
-    radii = np.array([r for _, r, _ in raw])
-    return QuorumClustering(gamma=gamma, steps=steps, radii=radii)
+    return _quorum_steps(pairwise_distances(ps.coords), gamma)
 
 
-def epochs(radii) -> EpochPartition:
-    """Greedy left-to-right partition into maximal runs with max <= 4x first."""
+def epochs(radii) -> tuple:
+    """Greedy left-to-right partition into maximal runs with max <= 4x first.
+
+    Returns the runs as a tuple of half-open ``(start, end)`` index ranges.
+    """
     r = np.asarray(radii, dtype=float).ravel()
     if r.size == 0:
         raise ValueError("radius sequence must be nonempty")
@@ -116,7 +115,7 @@ def epochs(radii) -> EpochPartition:
             e += 1
         ranges.append((s, e))
         s = e
-    return EpochPartition(tuple(ranges))
+    return tuple(ranges)
 
 
 def cover_depth(balls, point, rel_tol: float = REL_TOL) -> int:
@@ -136,7 +135,7 @@ def max_epoch_depth(
     coords = ps.coords
     worst = 0
     for s, e in qc.epoch_partition():
-        centers = np.stack([qc.steps[t].ball.center for t in range(s, e)])
+        centers = coords[qc.centers[s:e]]
         radii = qc.radii[s:e] * (1.0 + rel_tol)
         for blk in range(0, coords.shape[0], 512):
             d = pairwise_distances(coords[blk : blk + 512], centers)

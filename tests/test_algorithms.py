@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sepclust.algorithms import (
+    ColorExhausted,
     ColoredInstance,
     ExtractionConfig,
     InsufficientPoints,
@@ -116,6 +118,31 @@ def test_auto_alpha_downward_closed_spot_checks():
     for alpha in {best - 1, best // 2, 1} - {0}:
         cl = semi_separated_k(ps, ExtractionConfig(sigma=2.0, k=3, alpha=alpha))
         assert quality(cl) == alpha
+
+
+def test_auto_alpha_is_local_maximum():
+    # Auto mode promises a feasible alpha whose alpha + 1 fails, or the cap;
+    # not the largest feasible alpha, since feasibility is not downward closed.
+    algos = [
+        (semi_separated_k, False),
+        (semi_separated_k_colored, True),
+        (strong_separated_k, False),
+        (well_separated_k_colored, True),
+    ]
+    checked = 0
+    for fn, colored in algos:
+        grid = itertools.product((1, 2), (2, 3), (1.0, 2.0, 4.0), range(4))
+        for d, k, sigma, seed in grid:
+            ps = gen_random_uniform(60, d, seed)
+            obj = ColoredInstance(ps, np.arange(ps.n) % k) if colored else ps
+            cap = min(obj.sizes) if colored else ps.n // k
+            alpha = fn(obj, ExtractionConfig(sigma=sigma, k=k)).alpha
+            if alpha == cap:
+                continue
+            with pytest.raises((InsufficientPoints, ColorExhausted)):
+                fn(obj, ExtractionConfig(sigma=sigma, k=k, alpha=alpha + 1))
+            checked += 1
+    assert checked > 0
 
 
 def test_semi_quality_meets_documented_bound():

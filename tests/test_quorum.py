@@ -19,7 +19,7 @@ from sepclust.generators import gen_grid, gen_random_uniform
 def test_two_tight_pairs():
     qc = quorum_clustering(PointSet([0.0, 1.0, 10.0, 11.0]), 2)
     assert len(qc) == 2
-    assert [s.members.tolist() for s in qc.steps] == [[0, 1], [2, 3]]
+    assert [m.tolist() for m in qc.members] == [[0, 1], [2, 3]]
     assert (qc.radii <= 1.0).all()  # optimal per step is 0.5, 2-approx allows 1
 
 
@@ -27,7 +27,7 @@ def test_gamma_equals_n_single_step():
     ps = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     qc = quorum_clustering(ps, 3)
     assert len(qc) == 1
-    assert qc.steps[0].members.tolist() == [0, 1, 2]
+    assert qc.members[0].tolist() == [0, 1, 2]
 
 
 def test_gamma_one_all_zero_radii():
@@ -35,7 +35,7 @@ def test_gamma_one_all_zero_radii():
     qc = quorum_clustering(ps, 1)
     assert len(qc) == 3
     assert (qc.radii == 0.0).all()
-    assert [s.members.tolist() for s in qc.steps] == [[0], [1], [2]]
+    assert [m.tolist() for m in qc.members] == [[0], [1], [2]]
 
 
 def test_gamma_validation():
@@ -51,20 +51,20 @@ def test_members_partition_and_in_ball():
     ps = PointSet(rng.random((37, 2)))
     for gamma in (1, 2, 5, 7, 37):
         qc = quorum_clustering(ps, gamma)
-        seen = np.concatenate([s.members for s in qc.steps])
+        seen = np.concatenate(qc.members)
         assert sorted(seen.tolist()) == list(range(37))
-        for s in qc.steps[:-1]:
-            assert s.members.size == gamma
-        assert qc.steps[-1].members.size == 37 - gamma * (len(qc) - 1)
-        for s in qc.steps:
-            assert s.ball.contains(ps.coords[s.members]).all()
+        for m in qc.members[:-1]:
+            assert m.size == gamma
+        assert qc.members[-1].size == 37 - gamma * (len(qc) - 1)
+        for c, r, m in zip(qc.centers, qc.radii, qc.members):
+            assert Ball(ps.coords[c], r).contains(ps.coords[m]).all()
 
 
 def test_epochs_examples():
-    assert epochs([1, 2, 3, 5, 21]).ranges == ((0, 3), (3, 4), (4, 5))
-    assert epochs([1, 1, 1]).ranges == ((0, 3),)
-    assert epochs([1, 5, 25]).ranges == ((0, 1), (1, 2), (2, 3))
-    assert epochs([0, 0, 0]).ranges == ((0, 3),)
+    assert epochs([1, 2, 3, 5, 21]) == ((0, 3), (3, 4), (4, 5))
+    assert epochs([1, 1, 1]) == ((0, 3),)
+    assert epochs([1, 5, 25]) == ((0, 1), (1, 2), (2, 3))
+    assert epochs([0, 0, 0]) == ((0, 3),)
     with pytest.raises(ValueError):
         epochs([])
 
@@ -103,7 +103,7 @@ def test_epoch_radius_band_and_factor_64_on_full_steps():
             full = [
                 qc.radii[t]
                 for t in range(s, e)
-                if qc.steps[t].members.size == gamma
+                if qc.members[t].size == gamma
             ]
             if full and max(full) > 0:
                 assert min(full) > 0
@@ -126,12 +126,12 @@ def test_two_approximation_per_step_against_oracle():
     gamma = 5
     qc = quorum_clustering(ps, gamma)
     survivors = np.arange(ps.n)
-    for step in qc.steps:
+    for t in range(len(qc)):
         g_eff = min(gamma, survivors.size)
         rho = exact_min_ball_alpha(ps.subset(survivors), g_eff)
-        assert rho <= step.ball.radius * (1 + 1e-9)
-        assert step.ball.radius <= 2 * rho * (1 + 1e-9)
-        survivors = np.setdiff1d(survivors, step.members)
+        assert rho <= qc.radii[t] * (1 + 1e-9)
+        assert qc.radii[t] <= 2 * rho * (1 + 1e-9)
+        survivors = np.setdiff1d(survivors, qc.members[t])
 
 
 def test_optimal_radii_monotone_over_steps():
@@ -143,11 +143,11 @@ def test_optimal_radii_monotone_over_steps():
     qc = quorum_clustering(ps, gamma)
     survivors = np.arange(ps.n)
     rhos = []
-    for step in qc.steps:
+    for members in qc.members:
         if survivors.size < gamma:
             break
         rhos.append(exact_min_ball_alpha(ps.subset(survivors), gamma))
-        survivors = np.setdiff1d(survivors, step.members)
+        survivors = np.setdiff1d(survivors, members)
     assert all(a <= b * (1 + 1e-12) for a, b in zip(rhos, rhos[1:]))
 
 
@@ -167,7 +167,7 @@ def test_duplicates_form_zero_radius_steps():
     ps = PointSet([1.0, 1.0, 1.0, 50.0])
     qc = quorum_clustering(ps, 2)
     assert qc.radii[0] == 0.0
-    assert qc.steps[0].members.tolist() == [0, 1]
+    assert qc.members[0].tolist() == [0, 1]
 
 
 def _naive_quorum(coords, gamma):
@@ -203,6 +203,6 @@ def test_heap_engine_matches_naive_recomputation():
             qc = quorum_clustering(ps, gamma)
             ref = _naive_quorum(coords, gamma)
             assert len(qc) == len(ref)
-            for step, (_, r, members) in zip(qc.steps, ref):
-                assert step.ball.radius == r
-                assert np.array_equal(step.members, members)
+            for t, (_, r, members) in enumerate(ref):
+                assert qc.radii[t] == r
+                assert np.array_equal(qc.members[t], members)
