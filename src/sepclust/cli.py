@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -46,7 +47,6 @@ from .files import (
     read_points,
 )
 from .generators import GENERATORS, GeneratorSpec, gen_k_copies
-from .geometry import spread
 from .oracle import (
     OracleBudget,
     OracleBudgetExceeded,
@@ -188,7 +188,6 @@ class BenchRow:
     max_depth: int
     verified: bool
     wall_ms: int
-    spread: float  # not serialized; used by acceptance checks
 
     def csv_values(self) -> list:
         return [
@@ -279,7 +278,6 @@ def bench_rows(suite: str = "default"):
                 max_depth=max_epoch_depth(qc, ps_union),
                 verified=True,  # algorithms re-verify before returning
                 wall_ms=wall_ms,
-                spread=spread(ps_union),
             )
         )
     return rows
@@ -300,7 +298,10 @@ def _add_out(p) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused by every ``main`` call.
+    It binds only the ``_cmd_*`` handlers, which read module globals at call time."""
     parser = argparse.ArgumentParser(
         prog="sepclust",
         description="compute and certify large sigma-separated clusters",

@@ -125,13 +125,35 @@ def clustering_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _is_ball(b) -> bool:
+    # json.loads makes exact int/float/bool objects, so type() tells them apart.
+    center = b.get("center") if isinstance(b, dict) else None
+    return (
+        isinstance(center, list)
+        and all(type(v) in (int, float) for v in center)
+        and type(b.get("radius")) in (int, float)
+    )
+
+
 def parse_clustering(text: str) -> dict:
+    """Parse a clustering file; a field of the wrong JSON type is a ValueError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("clustering file must hold a JSON object")
     for key in ("kind", "sigma", "clusters"):
         if key not in data:
             raise ValueError(f"clustering file missing key {key!r}")
-    if not isinstance(data["clusters"], list) or not data["clusters"]:
+    clusters, balls, alpha = data["clusters"], data.get("balls"), data.get("alpha")
+    if not isinstance(clusters, list) or not clusters:
         raise ValueError("clustering file holds no clusters")
+    if not all(isinstance(c, list) and all(type(i) is int for i in c) for c in clusters):
+        raise ValueError("clusters must be lists of integer indices")
+    if balls is not None and not (isinstance(balls, list) and all(map(_is_ball, balls))):
+        raise ValueError("balls must be null or a list of {center, radius} objects")
+    if type(data["sigma"]) not in (int, float):
+        raise ValueError("sigma must be a number")
+    if alpha is not None and type(alpha) is not int:
+        raise ValueError("alpha must be null or an integer")
     return data
 
 

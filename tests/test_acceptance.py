@@ -20,7 +20,7 @@ from sepclust.algorithms import (
     strong_separated_k,
     well_separated_k_colored,
 )
-from sepclust.cli import bench_rows, main
+from sepclust.cli import _colored_random, _default_suite, bench_rows, main
 from sepclust.generators import (
     gen_grid,
     gen_exponential_line,
@@ -139,9 +139,13 @@ def test_criterion_4_grid_quality_scaling():
 def test_criterion_5_epoch_count_bound():
     with criterion(5, "epochs <= ceil(log4 spread) + 2 on every benched instance"):
         rows = bench_rows("default")
-        for row in rows:
+        for (gen, _, k, _), row in zip(_default_suite(), rows, strict=True):
             if row.alpha >= 2:
-                bound = math.ceil(math.log(row.spread, 4)) + 2
+                if gen == "colored-random":
+                    ps = _colored_random(k, 200, 2, seed=13).points
+                else:
+                    ps = gen.build()
+                bound = math.ceil(math.log(spread(ps), 4)) + 2
                 assert row.epochs <= bound, (
                     f"{row.generator} {row.algo}: {row.epochs} > {bound}"
                 )

@@ -10,9 +10,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sepclust import algorithms, cli
 from sepclust.algorithms import ColoredInstance, ExtractionConfig
+from sepclust.files import write_points
 from sepclust.generators import gen_random_uniform
 
 # Imported without writing bytecode, so perfbench/ is left as it was.
@@ -59,3 +61,30 @@ def test_tracer_records_quorum_spans_and_restores_names():
     for module, attr, value in before:
         assert getattr(module, attr) is value, f"{module.__name__}.{attr}"
     assert cli._ALGOS == algos
+
+
+@pytest.mark.parametrize("prebuilt", [False, True])
+def test_tracer_sees_through_the_cached_parser(tmp_path, prebuilt):
+    # The parser is shared across cli.main calls; the handlers it dispatches to
+    # must still reach the names the tracer swaps in, whether the parser was
+    # first built inside the traced block or before it.
+    pts = tmp_path / "p.txt"
+    write_points(pts, gen_random_uniform(30, 2, 0))
+    argv = ["cluster", "--algo", "strong", "--k", "2", "--sigma", "1",
+            "--in", str(pts), "--out", str(tmp_path / "c.json")]
+    cli._build_parser.cache_clear()
+    if prebuilt:
+        cli._build_parser()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+
+    mains = [s for s in tracer.spans if s.name == "cli.main"]
+    assert len(mains) == 2
+    for main in mains:
+        children = {s.name for s in tracer.spans if s.parent is main}
+        assert {
+            "files.read_points", "files.clustering_payload",
+            "algorithms.strong_separated_k",
+        } <= children

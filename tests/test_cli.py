@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from sepclust import cli
 from sepclust.cli import bench_rows, main
 
 
@@ -235,3 +238,58 @@ def test_determinism_generate_and_cluster(capsys, tmp_path):
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0 and out.strip() == "0.1.0"
+
+
+def test_main_reuses_one_parser_statelessly(capsys, monkeypatch, tmp_path):
+    # Every call below must give what it gives on a freshly built parser, even
+    # though, in sequence, each one follows a call that set the flags it omits.
+    pts, cl = tmp_path / "p.txt", tmp_path / "c.json"
+    run(capsys, "generate", "random", "--n", "60", "--dim", "2", "--seed", "3", "--out", str(pts))
+    strong = ["cluster", "--algo", "strong", "--k", "2", "--sigma", "2", "--in", str(pts)]
+    assert run(capsys, *strong, "--out", str(cl))[0] == 0
+    verify = ["verify", "--points", str(pts), "--clusters", str(cl)]
+    rand = ["generate", "random", "--n", "5", "--dim", "2"]
+    monkeypatch.setenv("SEPCLUST_SEED", "6")
+    calls = [
+        strong + ["--alpha", "3"], strong,
+        ["cluster", "--algo", "bogus"], strong,
+        verify + ["--kind", "semi", "--sigma", "1"], verify,
+        rand + ["--seed", "5"], rand,
+    ]
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    assert [r[0] for r in first] == [0, 0, 2, 0, 0, 0, 0, 0]
+    for a, b in zip(first[::2], first[1::2]):
+        assert a != b  # each follow-up call would show a leaked flag
+
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli._build_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("balls", [1, 2]),
+        ("balls", "x"),
+        ("clusters", [{"a": 1}]),
+        ("sigma", [1]),
+        ("clusters", [[0.5], [1.5]]),
+        ("clusters", [[[1]], [[2]]]),
+        ("clusters", [[True], [False]]),
+        ("balls", [{"center": [0], "radius": "0"}]),
+        ("alpha", 1.5),
+    ],
+)
+def test_verify_malformed_clustering_exit_2(capsys, tmp_path, field, value):
+    pts, cl = tmp_path / "p.txt", tmp_path / "c.json"
+    run(capsys, "generate", "grid", "--side", "4", "--dim", "1", "--out", str(pts))
+    data = {"kind": "strong", "sigma": 1.0, "clusters": [[0], [3]], field: value}
+    cl.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--points", str(pts), "--clusters", str(cl))
+    assert code == 2 and "PASS" not in out
+    assert err.startswith("error: ") and field in err
