@@ -40,7 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    REL_TOL, Ball, DenseBalls, PointSet, closest_pair, pairwise_distances, spread,
+    REL_TOL, Ball, DenseBalls, PointSet, _distances_to, closest_pair,
+    pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
 from .separation import Clustering, SeparationKind, check_separation
@@ -310,8 +311,7 @@ def semi_separated_k_colored(
             center_pt = coords_c[c0][ctr]
             for c2 in active:
                 idx2 = engines[c2].alive
-                diff = coords_c[c2][idx2] - center_pt
-                d2 = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+                d2 = _distances_to(coords_c[c2][idx2], center_pt)
                 engines[c2].remove(idx2[d2 <= cut])
         return out_clusters, out_balls
 
@@ -353,8 +353,7 @@ def _select_separated(
             raise InsufficientPoints(len(picked))
         t0, rest = int(pool[0]), pool[1:]
         picked.append(t0)
-        diff = pts[rest] - pts[t0]
-        gaps = np.sqrt(np.einsum("ij,ij->i", diff, diff)) - radii[t0] - radii[rest]
+        gaps = _distances_to(pts[rest], pts[t0]) - radii[t0] - radii[rest]
         keep = gaps >= 2.0 * sigma * np.maximum(radii[rest], max(radii[t0], r_floor))
         if colors is not None:
             keep &= colors[rest] != colors[t0]

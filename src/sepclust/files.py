@@ -15,6 +15,7 @@ version. Serialization is deterministic byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -125,13 +126,26 @@ def clustering_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# json.loads makes exact int/float/bool objects, so type() tells them apart.
+# JSON integers are unbounded: one that no double holds, or as an index no
+# int64, is rejected here rather than overflowing in float() or np.array().
+_MAX_INDEX = np.iinfo(np.int64).max
+
+
+def _is_number(v) -> bool:
+    return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
+def _is_index(v) -> bool:
+    return type(v) is int and abs(v) <= _MAX_INDEX
+
+
 def _is_ball(b) -> bool:
-    # json.loads makes exact int/float/bool objects, so type() tells them apart.
     center = b.get("center") if isinstance(b, dict) else None
     return (
         isinstance(center, list)
-        and all(type(v) in (int, float) for v in center)
-        and type(b.get("radius")) in (int, float)
+        and all(map(_is_number, center))
+        and _is_number(b.get("radius"))
     )
 
 
@@ -146,11 +160,11 @@ def parse_clustering(text: str) -> dict:
     clusters, balls, alpha = data["clusters"], data.get("balls"), data.get("alpha")
     if not isinstance(clusters, list) or not clusters:
         raise ValueError("clustering file holds no clusters")
-    if not all(isinstance(c, list) and all(type(i) is int for i in c) for c in clusters):
+    if not all(isinstance(c, list) and all(map(_is_index, c)) for c in clusters):
         raise ValueError("clusters must be lists of integer indices")
     if balls is not None and not (isinstance(balls, list) and all(map(_is_ball, balls))):
         raise ValueError("balls must be null or a list of {center, radius} objects")
-    if type(data["sigma"]) not in (int, float):
+    if not _is_number(data["sigma"]):
         raise ValueError("sigma must be a number")
     if alpha is not None and type(alpha) is not int:
         raise ValueError("alpha must be null or an integer")

@@ -4,14 +4,21 @@ A point is a 1-D float array; a point set is an ordered (n, d) array wrapped
 in :class:`PointSet`, whose row indices are the stable point identifiers used
 by all clustering output. Distances are Euclidean throughout.
 
-Pairwise scans are computed from exact coordinate differences (no expanded
-``|a|^2 - 2ab + |b|^2`` trick), in row blocks, so that huge coordinates such
-as the exponential line keep full precision.
+Distances between point sets are computed from exact coordinate differences
+(no expanded ``|a|^2 - 2ab + |b|^2`` trick), so that huge coordinates such as
+the exponential line keep full precision. One kernel, ``_sq_into``, serves
+them all: the n^2 scans in row blocks, and the distances from one point to a
+set. It sums the squared differences in coordinate order,
+``((x_0^2 + x_1^2) + x_2^2) + ...``, on every host. For d <= 2 a sum has only
+one rounding order, so these distances equal bit for bit those of the
+difference-tensor reduction this kernel replaced, whose order for d >= 3
+followed the host's SIMD lanes; there the two may differ in the last bits.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,9 +110,7 @@ class Ball:
             pts = pts.reshape(1, -1)
         if pts.shape[1] != self.dim:
             raise ValueError("dimension mismatch")
-        diff = pts - self.center
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        inside = dist <= self.radius * (1.0 + rel_tol)
+        inside = _distances_to(pts, self.center) <= self.radius * (1.0 + rel_tol)
         return bool(inside[0]) if single else inside
 
 
@@ -120,6 +125,38 @@ def distance(p, q) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """Write into ``out`` the squared distances from the rows of ``a`` to the
+    columns of ``bt`` (a second point set, transposed), summed in coordinate
+    order. ``tmp`` is a temporary of ``out``'s shape; no ``(rows, m, d)``
+    difference tensor is built."""
+    np.subtract(a[:, 0:1], bt[0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, bt.shape[0]):
+        np.subtract(a[:, k : k + 1], bt[k], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        out += tmp
+    return out
+
+
+def _sq_blocks(a: np.ndarray, b: np.ndarray, out=None):
+    """Squared distances between the rows of ``a`` and of ``b``, by row block.
+
+    Yields ``(s, block)`` with ``block[i, j]`` the squared distance from
+    ``a[s + i]`` to ``b[j]``. Blocks are written into the rows of ``out`` when
+    given, else into one reused buffer.
+    """
+    n, m = a.shape[0], b.shape[0]
+    bt = np.ascontiguousarray(b.T)
+    rows = min(_BLOCK, n)
+    tmp = np.empty((rows, m))
+    buf = np.empty((rows, m)) if out is None else None
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        block = buf[: e - s] if out is None else out[s:e]
+        yield s, _sq_into(a[s:e], bt, block, tmp[: e - s])
+
+
 def pairwise_distances(a, b=None) -> np.ndarray:
     """Full distance matrix between rows of ``a`` and rows of ``b`` (or ``a``)."""
     aa = _coords_of(a)
@@ -127,26 +164,30 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     if aa.shape[1] != bb.shape[1]:
         raise ValueError("dimension mismatch")
     out = np.empty((aa.shape[0], bb.shape[0]))
-    for s in range(0, aa.shape[0], _BLOCK):
-        e = min(s + _BLOCK, aa.shape[0])
-        diff = aa[s:e, None, :] - bb[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=out[s:e])
+    for _, block in _sq_blocks(aa, bb, out):
+        np.sqrt(block, out=block)
     return out
 
 
+def _distances_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Distances from each row of ``points`` to ``center``, by the same kernel."""
+    out = np.empty((1, points.shape[0]))
+    _sq_into(center.reshape(1, -1), points.T, out, np.empty_like(out))
+    return np.sqrt(out[0])
+
+
 def _blocked_sq(a, b, reduce, skip_self: bool = False) -> float:
-    """Square root of ``reduce`` (``np.min`` or ``np.max``) over the squared
-    distances between rows of ``a`` and ``b``, computed in row blocks.
+    """Square root of ``reduce`` (``np.minimum`` or ``np.maximum``) over the
+    squared distances between rows of ``a`` and ``b``, computed in row blocks.
     ``skip_self`` leaves out the pairs (i, i) when ``b`` is ``a``."""
-    parts = []
-    for s in range(0, a.shape[0], _BLOCK):
-        e = min(s + _BLOCK, a.shape[0])
-        diff = a[s:e, None, :] - b[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    best = None
+    for s, d2 in _sq_blocks(a, b):
         if skip_self:
-            d2[np.arange(e - s), np.arange(s, e)] = np.inf
-        parts.append(reduce(d2))
-    return float(np.sqrt(reduce(parts)))
+            rows = np.arange(d2.shape[0])
+            d2[rows, rows + s] = np.inf
+        part = reduce.reduce(d2, axis=None)
+        best = part if best is None else reduce(best, part)
+    return math.sqrt(best)
 
 
 def set_distance(x, y) -> float:
@@ -156,7 +197,7 @@ def set_distance(x, y) -> float:
         raise ValueError("set_distance requires nonempty sets")
     if xa.shape[1] != ya.shape[1]:
         raise ValueError("dimension mismatch")
-    return _blocked_sq(xa, ya, np.min)
+    return _blocked_sq(xa, ya, np.minimum)
 
 
 def diameter(ps) -> float:
@@ -167,7 +208,7 @@ def diameter(ps) -> float:
         raise ValueError("diameter of an empty set is undefined")
     if n == 1:
         return 0.0
-    return _blocked_sq(c, c, np.max)
+    return _blocked_sq(c, c, np.maximum)
 
 
 def closest_pair(ps) -> float:
@@ -175,7 +216,7 @@ def closest_pair(ps) -> float:
     c = _coords_of(ps)
     if c.shape[0] < 2:
         raise ValueError("closest_pair requires at least two points")
-    return _blocked_sq(c, c, np.min, skip_self=True)
+    return _blocked_sq(c, c, np.minimum, skip_self=True)
 
 
 def spread(ps) -> float:

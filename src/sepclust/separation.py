@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import REL_TOL, Ball, PointSet, pairwise_distances
+from .geometry import REL_TOL, Ball, PointSet, diameter, set_distance
 
 
 class SeparationKind(Enum):
@@ -40,7 +40,8 @@ class Clustering:
     """k disjoint, nonempty index subsets of a point set plus its claim.
 
     ``clusters`` index into ``points`` (original input order). ``colors`` is
-    set for colored instances, in which case cluster i must draw from color i.
+    set for colored instances, in which case cluster i must draw from color i
+    (a ValueError otherwise).
     ``balls`` and ``alpha`` carry the extraction certificate when an
     algorithm produced the clustering.
     """
@@ -82,6 +83,9 @@ class Clustering:
             colors = np.asarray(self.colors, dtype=int).ravel()
             if colors.shape[0] != n:
                 raise ValueError("colors must label every point")
+            for i, c in enumerate(clusters):
+                if (colors[c] != i).any():
+                    raise ValueError(f"cluster {i} must draw from color {i}")
             object.__setattr__(self, "colors", colors)
         if self.balls is not None:
             balls = tuple(self.balls)
@@ -100,12 +104,7 @@ class Clustering:
 
 def cluster_diameters(clustering: Clustering) -> np.ndarray:
     coords = clustering.points.coords
-    out = np.zeros(clustering.k)
-    for i, c in enumerate(clustering.clusters):
-        if c.size > 1:
-            sub = coords[c]
-            out[i] = pairwise_distances(sub).max()
-    return out
+    return np.array([diameter(coords[c]) for c in clustering.clusters])
 
 
 def pair_margins(clustering: Clustering, rel_tol: float = REL_TOL) -> list:
@@ -123,9 +122,9 @@ def pair_margins(clustering: Clustering, rel_tol: float = REL_TOL) -> list:
     rows = []
     for i in range(clustering.k):
         for j in range(i + 1, clustering.k):
-            a = coords[clustering.clusters[i]]
-            b = coords[clustering.clusters[j]]
-            dist = pairwise_distances(a, b).min()
+            dist = set_distance(
+                coords[clustering.clusters[i]], coords[clustering.clusters[j]]
+            )
             if kind is SeparationKind.STRONG:
                 term = d_strong
             elif kind is SeparationKind.WELL:

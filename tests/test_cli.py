@@ -137,6 +137,22 @@ def test_verify_flow_and_tamper(capsys, tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+def test_verify_color_swapped_clustering_rejected(capsys, tmp_path):
+    pts, cl = tmp_path / "p.txt", tmp_path / "c.json"
+    run(capsys, "generate", "threecolor", "--n", "8", "--out", str(pts))
+    run(
+        capsys, "cluster", "--algo", "semi-colored", "--k", "3", "--sigma", "1",
+        "--alpha", "1", "--in", str(pts), "--out", str(cl),
+    )
+    assert run(capsys, "verify", "--points", str(pts), "--clusters", str(cl))[0] == 0
+    data = json.loads(cl.read_text())
+    data["clusters"] = data["clusters"][::-1]
+    cl.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--points", str(pts), "--clusters", str(cl))
+    assert code == 2 and "PASS" not in out
+    assert "cluster 0 must draw from color 0" in err
+
+
 def test_verify_parse_error_exit_2(capsys, tmp_path):
     pts = tmp_path / "p.txt"
     bad = tmp_path / "bad.json"
@@ -283,6 +299,9 @@ def test_main_reuses_one_parser_statelessly(capsys, monkeypatch, tmp_path):
         ("clusters", [[True], [False]]),
         ("balls", [{"center": [0], "radius": "0"}]),
         ("alpha", 1.5),
+        ("clusters", [[100000000000000000000000], [3]]),
+        pytest.param("sigma", 10**400, id="sigma-10^400"),
+        ("balls", [{"center": [10**400], "radius": 1}]),
     ],
 )
 def test_verify_malformed_clustering_exit_2(capsys, tmp_path, field, value):

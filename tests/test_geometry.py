@@ -188,3 +188,64 @@ def test_pairwise_distances_blocked_matches_direct():
     full = pairwise_distances(a, b)
     direct = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
     assert np.allclose(full, direct, rtol=1e-12, atol=0)
+
+
+def _tensor_reference(a, b):
+    """The difference-tensor reduction that the distance kernel replaced."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _coordinate_order_reference(a, b):
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        d2 = d2 + (a[:, None, k] - b[None, :, k]) ** 2
+    return np.sqrt(d2)
+
+
+def _wide_points(rng, n, d):
+    """Points whose coordinates span binary exponents -150..150."""
+    return rng.standard_normal((n, d)) * 2.0 ** rng.integers(-150, 151, (n, d))
+
+
+# Row counts on both sides of the 256-row block boundary.
+_ROWS = (1, 255, 256, 257, 513)
+
+
+@pytest.mark.parametrize("n", _ROWS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_low_dim_bit_equal_to_tensor_reduction(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    a, b = _wide_points(rng, n, d), _wide_points(rng, 37, d)
+    assert np.array_equal(pairwise_distances(a), _tensor_reference(a, a))
+    assert np.array_equal(pairwise_distances(a, b), _tensor_reference(a, b))
+    assert np.array_equal(pairwise_distances(b, a), _tensor_reference(b, a))
+
+
+def test_kernel_exponential_line_bit_equal_to_tensor_reduction():
+    c = gen_exponential_line(40).coords
+    assert np.array_equal(pairwise_distances(c), _tensor_reference(c, c))
+    assert np.array_equal(pairwise_distances(c[:7], c), _tensor_reference(c[:7], c))
+
+
+@pytest.mark.parametrize("n", _ROWS)
+@pytest.mark.parametrize("d", [3, 5])
+def test_kernel_sums_in_coordinate_order(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    a, b = _wide_points(rng, n, d), _wide_points(rng, 37, d)
+    assert np.array_equal(pairwise_distances(a), _coordinate_order_reference(a, a))
+    assert np.array_equal(pairwise_distances(a, b), _coordinate_order_reference(a, b))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_reductions_and_membership_agree_with_matrix(d):
+    rng = np.random.default_rng(d)
+    a, b = _wide_points(rng, 300, d), _wide_points(rng, 41, d)
+    full = pairwise_distances(a)
+    assert diameter(a) == full.max()
+    assert closest_pair(a) == (full + np.diag(np.full(300, np.inf))).min()
+    assert set_distance(a, b) == pairwise_distances(a, b).min()
+    assert set_distance(b, a) == pairwise_distances(b, a).min()
+    for i, j in [(0, 1), (17, 255), (299, 256)]:
+        ball = Ball(a[i], full[i, j])
+        assert np.array_equal(ball.contains(a, rel_tol=0.0), full[i] <= full[i, j])

@@ -3,8 +3,10 @@
 The digests were recorded from the implementation that re-partitioned the
 survivor submatrix on every semi iteration, fed the quorum heap from a stable
 argsort of each distance row, and built ``generate`` output in its own
-if-chain. Any change to alpha, clusters, balls, quality or error text of the
-four algorithms, or to a generated file, alters one of them.
+if-chain; the d=3 cases were recorded later, once distances summed their
+squared coordinate differences in coordinate order. Any change to alpha,
+clusters, balls, quality or error text of the four algorithms, or to a
+generated file, alters one of them.
 """
 
 import csv
@@ -21,6 +23,7 @@ _INPUTS = {
     "grid-8-2": ["grid", "--side", "8", "--dim", "2"],
     "expline-24": ["expline", "--n", "24"],
     "random-60-2-s3": ["random", "--n", "60", "--dim", "2", "--seed", "3"],
+    "random-60-3-s3": ["random", "--n", "60", "--dim", "3", "--seed", "3"],
 }
 _ALGOS = ("semi", "strong", "semi-colored", "well-colored")
 _PARAMS = ((2, "1"), (3, "2"))
@@ -100,6 +103,32 @@ CLUSTER_SHA256 = {
     ),
     "random-60-2-s3/well-colored/k=3/sigma=2": (
         "e6bfbe99c147d41dd16297d8e956fe05c28b015cf36022f82f5dbc6ec58286c3"
+    ),
+    # d=3 cases, recorded from the coordinate-order distance kernel; the
+    # cases above predate it and are unchanged by it.
+    "random-60-3-s3/semi-colored/k=2/sigma=1": (
+        "6643c952dfd7908259850869d5b426bb96b5577cab2aeba883ca65c5b90a5a38"
+    ),
+    "random-60-3-s3/semi-colored/k=3/sigma=2": (
+        "ed32f35fcacbce29d71990ff8510f8d25ce1c95ce35797cb0389026e6917e5bc"
+    ),
+    "random-60-3-s3/semi/k=2/sigma=1": (
+        "972886e1ab9b4b979d5b2c45e45269ac53f0f63bf53bcb53d7bcbc045c365f65"
+    ),
+    "random-60-3-s3/semi/k=3/sigma=2": (
+        "482d00f5317fb423874dccfc0e45d51443471d0e0e9f4ea93d0913206f20015a"
+    ),
+    "random-60-3-s3/strong/k=2/sigma=1": (
+        "cb06dd0ea3d43f0f6943c2138d8e0e3111eec3c5c8eab4e2c084d504c2afe46a"
+    ),
+    "random-60-3-s3/strong/k=3/sigma=2": (
+        "cb806c9d762621907f3c480cb31235ac222ff40a6c5233b0e8ea94d2efa3855c"
+    ),
+    "random-60-3-s3/well-colored/k=2/sigma=1": (
+        "5dab98de45200930d0c3c0cef13d1959f1bcf27423faaf6b6509dcd5932eb87b"
+    ),
+    "random-60-3-s3/well-colored/k=3/sigma=2": (
+        "34aee92eb2ad20b558c9d1f372026bd74b437b280bac60bf3548861f5e2d335f"
     ),
 }
 
