@@ -12,7 +12,6 @@ from .algorithms import (
     ColorExhausted,
     ColoredInstance,
     ExtractionConfig,
-    InstanceTooSeparationHostile,
     InsufficientPoints,
     VerificationFailed,
     semi_separated_k,
@@ -77,7 +76,6 @@ __all__ = [
     "EmbeddingFailed",
     "ExtractionConfig",
     "GeneratorSpec",
-    "InstanceTooSeparationHostile",
     "InsufficientPoints",
     "OracleBudget",
     "OracleBudgetExceeded",

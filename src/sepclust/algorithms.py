@@ -44,7 +44,7 @@ from .geometry import (
     pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
-from .separation import Clustering, SeparationKind, check_separation
+from .separation import Clustering, SeparationKind, check_separation, check_sigma
 
 
 class InsufficientPoints(RuntimeError):
@@ -53,10 +53,6 @@ class InsufficientPoints(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"not enough surviving points at iteration {iteration}")
         self.iteration = int(iteration)
-
-
-class InstanceTooSeparationHostile(RuntimeError):
-    """Fewer than k mutually separated balls obtainable even at alpha = 1."""
 
 
 class ColorExhausted(RuntimeError):
@@ -138,8 +134,7 @@ class ExtractionConfig:
     c_override: Optional[float] = None
 
     def __post_init__(self):
-        if not float(self.sigma) > 0.0:
-            raise ValueError("sigma must be positive")
+        check_sigma(self.sigma)
         if int(self.k) < 1:
             raise ValueError("k must be at least 1")
         if self.alpha is not None and int(self.alpha) < 1:
@@ -175,8 +170,8 @@ def _search_max_alpha(run: Callable, cap: int):
     error; each alpha is run at most once. The returned alpha is feasible,
     and either alpha + 1 was probed infeasible or alpha equals ``cap``.
     Feasibility is not downward closed, so this need not be the largest
-    feasible alpha. Alpha = 1 is probed first, and its error is re-raised
-    for the caller to map.
+    feasible alpha. Alpha = 1 is probed first; if it fails, its error is
+    re-raised.
     """
     cap = max(1, int(cap))
     results = {}
@@ -204,12 +199,10 @@ def _search_max_alpha(run: Callable, cap: int):
     return lo, results[lo]
 
 
-def _resolve_alpha(cfg: ExtractionConfig, run: Callable, cap: int, formula=None):
+def _resolve_alpha(cfg: ExtractionConfig, run: Callable, cap: int, formula: Callable):
     if cfg.alpha is not None:
         return int(cfg.alpha), run(int(cfg.alpha))
     if cfg.c_override is not None:
-        if formula is None:
-            raise ValueError("c_override is not supported for this algorithm")
         a = max(1, formula(float(cfg.c_override)))
         return a, run(a)
     return _search_max_alpha(run, cap)
@@ -412,14 +405,7 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
         phi = spread(points) if n >= 2 else 1.0
         return math.floor(c * n / (k * sigma ** points.dim * _log_spread(phi)))
 
-    try:
-        alpha, out = _resolve_alpha(cfg, run, cap=n // k, formula=formula)
-    except InsufficientPoints:
-        if cfg.alpha is None and cfg.c_override is None:
-            raise InstanceTooSeparationHostile(
-                f"cannot extract {k} separated balls even at alpha=1"
-            ) from None
-        raise
+    alpha, out = _resolve_alpha(cfg, run, cap=n // k, formula=formula)
     clusters, balls = out
     return _verified(points, clusters, balls, cfg, SeparationKind.STRONG, alpha=alpha)
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ from .algorithms import (
     ColorExhausted,
     ColoredInstance,
     ExtractionConfig,
-    InstanceTooSeparationHostile,
     InsufficientPoints,
     VerificationFailed,
     semi_separated_k,
@@ -64,22 +63,6 @@ _ALGOS = {
     "well-colored": (well_separated_k_colored, True),
 }
 
-BENCH_COLUMNS = [
-    "generator",
-    "n",
-    "d",
-    "k",
-    "sigma",
-    "algo",
-    "alpha",
-    "quality",
-    "epochs",
-    "max_depth",
-    "verified",
-    "wall_ms",
-]
-
-
 def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return int(value)
@@ -97,12 +80,20 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+def _read(path, colored: bool, user: str):
+    """The points file at ``path``; a ValueError naming ``user`` unless the
+    file is colored exactly when ``colored`` is set."""
+    obj = read_points(path)
+    if isinstance(obj, ColoredInstance) != colored:
+        raise ValueError(
+            f"{user} expects a {'colored' if colored else 'plain'} points file"
+        )
+    return obj
+
+
 def _cmd_generate(args) -> int:
     if args.generator == "kcopies":
-        base = read_points(args.input)
-        if isinstance(base, ColoredInstance):
-            raise ValueError("kcopies expects an uncolored points file")
-        obj = gen_k_copies(base, args.k)
+        obj = gen_k_copies(_read(args.input, False, "kcopies"), args.k)
     else:
         fields = {f: getattr(args, f) for f in GENERATORS[args.generator][1]}
         if "seed" in fields:
@@ -113,14 +104,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    fn, wants_colored = _ALGOS[args.algo]
-    obj = read_points(args.infile)
-    is_colored = isinstance(obj, ColoredInstance)
-    if is_colored != wants_colored:
-        raise ValueError(
-            f"algorithm {args.algo!r} expects a "
-            f"{'colored' if wants_colored else 'plain'} points file"
-        )
+    fn, colored = _ALGOS[args.algo]
+    obj = _read(args.infile, colored, f"algorithm {args.algo!r}")
     cfg = ExtractionConfig(sigma=args.sigma, k=args.k, alpha=args.alpha)
     clustering = fn(obj, cfg)
     payload = clustering_payload(clustering, algorithm=args.algo, seed=args.seed)
@@ -148,34 +133,33 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _budget(max_n: Optional[int], field: str) -> OracleBudget:
+    """``OracleBudget``'s defaults, with ``field`` set to ``--max-n`` if given."""
+    return OracleBudget() if max_n is None else OracleBudget(**{field: max_n})
+
+
 def _cmd_oracle(args) -> int:
+    obj = _read(args.infile, args.oracle == "three-color", args.oracle)
     if args.oracle == "best-pair":
-        obj = read_points(args.infile)
-        if isinstance(obj, ColoredInstance):
-            raise ValueError("best-pair expects an uncolored points file")
-        budget = OracleBudget(max_n_assignment=args.max_n or 12)
+        budget = _budget(args.max_n, "max_n_assignment")
         q, (c1, c2) = best_separated_pair(obj, args.sigma, args.kind, budget)
         print(f"quality {q}")
         print(f"C1 {' '.join(map(str, c1.tolist()))}")
         print(f"C2 {' '.join(map(str, c2.tolist()))}")
     elif args.oracle == "min-ball":
-        obj = read_points(args.infile)
-        if isinstance(obj, ColoredInstance):
-            raise ValueError("min-ball expects an uncolored points file")
-        budget = OracleBudget(max_n_ball=args.max_n or 40)
+        budget = _budget(args.max_n, "max_n_ball")
         r = exact_min_ball_alpha(obj, args.alpha, budget)
         print(f"radius {r:.17g}")
     else:
-        obj = read_points(args.infile)
-        if not isinstance(obj, ColoredInstance):
-            raise ValueError("three-color expects a colored points file")
         verdict = check_three_color_hopeless(obj, args.sigma)
         print(f"hopeless {'true' if verdict else 'false'}")
     return 0
 
 
-@dataclass
+@dataclasses.dataclass
 class BenchRow:
+    """One bench CSV row; the fields, in order, are the columns."""
+
     generator: str
     n: int
     d: int
@@ -189,21 +173,8 @@ class BenchRow:
     verified: bool
     wall_ms: int
 
-    def csv_values(self) -> list:
-        return [
-            self.generator,
-            self.n,
-            self.d,
-            self.k,
-            self.sigma,
-            self.algo,
-            self.alpha,
-            self.quality,
-            self.epochs,
-            self.max_depth,
-            str(self.verified).lower(),
-            self.wall_ms,
-        ]
+
+BENCH_COLUMNS = [f.name for f in dataclasses.fields(BenchRow)]
 
 
 def _default_suite():
@@ -288,8 +259,10 @@ def _cmd_bench(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_COLUMNS)
-    for row in rows:
-        writer.writerow(row.csv_values())
+    writer.writerows(
+        [str(v).lower() if isinstance(v, bool) else v for v in dataclasses.astuple(row)]
+        for row in rows
+    )
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -379,7 +352,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (InsufficientPoints, InstanceTooSeparationHostile, ColorExhausted) as exc:
+    except (InsufficientPoints, ColorExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OracleBudgetExceeded as exc:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import ColoredInstance
-from .geometry import PointSet, diameter
+from .geometry import PointSet, diameter, pairwise_distances
 
 
 class EmbeddingFailed(RuntimeError):
@@ -171,8 +171,7 @@ def gen_near_uniform_highdim(n: int, eps: float, seed: int) -> PointSet:
     for attempt in range(_EMBED_ATTEMPTS):
         rng = np.random.default_rng([int(seed), attempt])
         pts = rng.standard_normal((n, dim)) / math.sqrt(2.0 * dim)
-        diff = pts[iu[0]] - pts[iu[1]]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        d = pairwise_distances(pts)[iu]
         if d.min() >= 1.0 - eps and d.max() <= 1.0 + eps:
             return PointSet(pts)
     raise EmbeddingFailed(

@@ -122,7 +122,7 @@ def distance(p, q) -> float:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("coordinates must be finite")
-    return float(np.linalg.norm(a - b))
+    return float(_distances_to(a.reshape(1, -1), b)[0])
 
 
 def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp: np.ndarray):

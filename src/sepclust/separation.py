@@ -13,6 +13,7 @@ useless when the quality is one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -20,6 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .geometry import REL_TOL, Ball, PointSet, diameter, set_distance
+
+
+def check_sigma(sigma) -> float:
+    """``sigma`` as a float; a ValueError unless it is positive and the
+    largest scale any algorithm forms from it, ``2 sigma + 2``, is finite."""
+    s = float(sigma)
+    if not (s > 0.0 and math.isfinite(2.0 * s + 2.0)):
+        raise ValueError(f"sigma must be positive with 2*sigma + 2 finite, got {s!r}")
+    return s
 
 
 class SeparationKind(Enum):
@@ -57,10 +67,7 @@ class Clustering:
     def __post_init__(self):
         if not isinstance(self.points, PointSet):
             object.__setattr__(self, "points", PointSet(self.points))
-        sigma = float(self.sigma)
-        if not sigma > 0.0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
         if not isinstance(self.kind, SeparationKind):
             object.__setattr__(self, "kind", SeparationKind.parse(self.kind))
         clusters = tuple(np.asarray(c, dtype=int).ravel() for c in self.clusters)

@@ -21,7 +21,7 @@ from sepclust.generators import (
     gen_random_uniform,
     gen_three_color_line,
 )
-from sepclust.geometry import PointSet, diameter, set_distance
+from sepclust.geometry import PointSet, diameter, set_distance, spread
 from sepclust.oracle import OracleBudget, best_separated_pair
 from sepclust.separation import (
     Clustering,
@@ -162,6 +162,23 @@ def test_c_override_formula():
     assert cl.alpha == 5  # ceil(0.1 * 100 / (2 * 1))
 
 
+def test_c_override_formula_colored_and_strong():
+    ps = gen_random_uniform(100, 2, 3)
+    log_phi = math.log2(spread(ps))
+    cl = strong_separated_k(ps, ExtractionConfig(sigma=1.0, k=2, c_override=1.0))
+    assert cl.alpha == math.floor(1.0 * 100 / (2 * 1.0**2 * log_phi)) == 5
+    rng = np.random.default_rng(4)
+    inst = ColoredInstance.from_sets([PointSet(rng.random((30, 2)) + 10 * c) for c in range(3)])
+    cl = semi_separated_k_colored(inst, ExtractionConfig(sigma=2.0, k=3, c_override=1.0))
+    assert cl.alpha == math.ceil(1.0 * 30 / (3 * 2.0**2)) == 3
+    log_phi = math.log2(spread(inst.points))
+    cl = well_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=3, c_override=8.0))
+    assert cl.alpha == math.floor(8.0 * 30 / (3 * 1.0**2 * log_phi)) == 7
+    # a formula below one still probes alpha = 1
+    cl = well_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=3, c_override=0.01))
+    assert cl.alpha == 1
+
+
 # ------------------------------------------------------- semi colored
 
 
@@ -239,6 +256,26 @@ def test_strong_cluster_sizes_at_least_alpha():
     assert all(c.size >= cl.alpha for c in cl.clusters)
 
 
+@pytest.mark.parametrize("sigma", [1e-300, 1.0, 8.98e307])
+@pytest.mark.parametrize(
+    "ps",
+    [gen_random_uniform(40, 2, 5), gen_exponential_line(12), gen_grid(4, 2)],
+    ids=["random", "expline", "grid"],
+)
+def test_strong_alpha_one_always_feasible(ps, sigma):
+    # Every alpha = 1 ball has radius 0, so the selector's threshold 2 sigma 0
+    # keeps every pair and auto mode can never fail at its first probe.
+    cl = strong_separated_k(ps, ExtractionConfig(sigma=sigma, k=3, alpha=1))
+    assert cl.sizes == [1, 1, 1]
+    assert strong_separated_k(ps, ExtractionConfig(sigma=sigma, k=3)).alpha >= 1
+
+
+def test_strong_alpha_above_n_infeasible():
+    with pytest.raises(InsufficientPoints) as err:
+        strong_separated_k(three_groups_1d(), ExtractionConfig(sigma=1.0, k=2, alpha=31))
+    assert err.value.iteration == 0
+
+
 def test_strong_duplicates_rejected():
     with pytest.raises(ValueError, match="spread"):
         strong_separated_k(
@@ -288,6 +325,12 @@ def test_well_colored_requires_equal_sizes():
         well_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=2))
 
 
+def test_well_colored_duplicates_rejected():
+    inst = ColoredInstance.from_sets([PointSet([0.0, 1.0]), PointSet([1.0, 5.0])])
+    with pytest.raises(ValueError, match="duplicate"):
+        well_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=2))
+
+
 def test_well_colored_quality_at_least_alpha():
     rng = np.random.default_rng(14)
     sets = [PointSet(rng.random((50, 2)) + 10 * c) for c in range(3)]
@@ -323,8 +366,10 @@ def test_determinism_same_input_same_output():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExtractionConfig(sigma=0.0, k=1)
+    for sigma in (0.0, -1.0, float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError, match="sigma"):
+            ExtractionConfig(sigma=sigma, k=1)
+    assert ExtractionConfig(sigma=8.98e307, k=1).sigma == 8.98e307
     with pytest.raises(ValueError):
         ExtractionConfig(sigma=1.0, k=0)
     with pytest.raises(ValueError):

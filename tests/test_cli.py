@@ -104,6 +104,22 @@ def test_cluster_colored_mismatch_exit_2(capsys, tmp_path):
     assert code == 2 and "points file" in err
 
 
+@pytest.mark.parametrize("sigma", ["inf", "nan", "1e308", "0", "-1"])
+@pytest.mark.parametrize("algo", ["semi", "strong", "semi-colored", "well-colored"])
+def test_cluster_sigma_out_of_range_exit_2(capsys, tmp_path, algo, sigma):
+    pts = tmp_path / "p.txt"
+    if algo.endswith("colored"):
+        run(capsys, "generate", "threecolor", "--n", "4", "--out", str(pts))
+    else:
+        run(capsys, "generate", "random", "--n", "30", "--dim", "2", "--seed", "1",
+            "--out", str(pts))
+    code, out, err = run(
+        capsys, "cluster", "--algo", algo, "--k", "3", "--sigma", sigma, "--in", str(pts),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: sigma must be positive with 2*sigma + 2 finite")
+
+
 def test_cluster_infeasible_exit_3(capsys, tmp_path):
     pts = tmp_path / "p.txt"
     run(capsys, "generate", "grid", "--side", "3", "--dim", "1", "--out", str(pts))
@@ -112,6 +128,12 @@ def test_cluster_infeasible_exit_3(capsys, tmp_path):
         "--alpha", "3", "--in", str(pts),
     )
     assert code == 3
+    # strong with alpha above n has no full quorum step at all
+    code, _, err = run(
+        capsys, "cluster", "--algo", "strong", "--k", "2", "--sigma", "1",
+        "--alpha", "4", "--in", str(pts),
+    )
+    assert code == 3 and "iteration 0" in err
 
 
 def test_verify_flow_and_tamper(capsys, tmp_path):
@@ -153,6 +175,21 @@ def test_verify_color_swapped_clustering_rejected(capsys, tmp_path):
     assert "cluster 0 must draw from color 0" in err
 
 
+@pytest.mark.parametrize("text", ["1e400", "1e308", "0", "-2"])
+def test_verify_sigma_out_of_range_exit_2(capsys, tmp_path, text):
+    # 1e400 is JSON float text, which Python reads as inf
+    pts, cl = tmp_path / "p.txt", tmp_path / "c.json"
+    run(capsys, "generate", "grid", "--side", "4", "--dim", "1", "--out", str(pts))
+    cl.write_text('{"kind": "strong", "sigma": %s, "clusters": [[0], [3]]}' % text)
+    code, out, err = run(capsys, "verify", "--points", str(pts), "--clusters", str(cl))
+    assert code == 2 and out == "" and "sigma" in err
+    cl.write_text('{"kind": "strong", "sigma": 1, "clusters": [[0], [3]]}')
+    code, out, err = run(
+        capsys, "verify", "--points", str(pts), "--clusters", str(cl), "--sigma", text
+    )
+    assert code == 2 and out == "" and "sigma" in err
+
+
 def test_verify_parse_error_exit_2(capsys, tmp_path):
     pts = tmp_path / "p.txt"
     bad = tmp_path / "bad.json"
@@ -188,6 +225,38 @@ def test_oracle_budget_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_oracle_max_n(capsys, tmp_path):
+    pts = tmp_path / "p.txt"
+    pts.write_text("0\n1\n2\n10\n")
+    for oracle, extra in (("min-ball", ["--alpha", "2"]),
+                          ("best-pair", ["--sigma", "1", "--kind", "semi"])):
+        argv = ["oracle", oracle, "--in", str(pts), *extra]
+        assert run(capsys, *argv)[0] == 0  # within the default budget
+        assert run(capsys, *argv, "--max-n", "3")[0] == 4
+        code, _, err = run(capsys, *argv, "--max-n", "0")
+        assert code == 2 and "budgets must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, colored",
+    [
+        (["generate", "kcopies", "--k", "2", "--input"], True),
+        (["oracle", "best-pair", "--sigma", "1", "--kind", "strong", "--in"], True),
+        (["oracle", "min-ball", "--alpha", "2", "--in"], True),
+        (["oracle", "three-color", "--in"], False),
+    ],
+    ids=["kcopies", "best-pair", "min-ball", "three-color"],
+)
+def test_points_file_kind_mismatch_exit_2(capsys, tmp_path, argv, colored):
+    pts = tmp_path / "p.txt"
+    gen = ["threecolor", "--n", "2"] if colored else ["grid", "--side", "3", "--dim", "1"]
+    run(capsys, "generate", *gen, "--out", str(pts))
+    code, out, err = run(capsys, *argv, str(pts))
+    want = "plain" if colored else "colored"
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[1]} expects a {want} points file\n"
+
+
 def test_oracle_three_color(capsys, tmp_path):
     pts = tmp_path / "p.txt"
     run(capsys, "generate", "threecolor", "--n", "5", "--out", str(pts))
@@ -216,6 +285,7 @@ def test_bench_smoke_csv(capsys, tmp_path):
         "generator", "n", "d", "k", "sigma", "algo", "alpha", "quality",
         "epochs", "max_depth",
     ]
+    assert header == cli.BENCH_COLUMNS and len(header) == 12
     assert len(lines) == 5
     assert all(row.split(",")[10] == "true" for row in lines[1:])
 

@@ -57,6 +57,10 @@ def test_parse_errors():
         parse_points("# dim=3 colored=0\n1 2\n")
     with pytest.raises(ValueError):
         parse_points("# dim=1 colored=1\n0 1\n2 5\n")  # colors 0,2 not contiguous
+    with pytest.raises(ValueError, match="line 3: cannot parse point"):
+        parse_points("# dim=2 colored=0\n0 0\nhello world\n")
+    with pytest.raises(ValueError, match="line 2: cannot parse point"):
+        parse_points("# dim=1 colored=1\nred 1\n")
 
 
 def test_file_io(tmp_path):

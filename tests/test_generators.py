@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import sepclust.generators as gens
 from sepclust.generators import (
     EmbeddingFailed,
     GeneratorSpec,
@@ -210,6 +211,29 @@ def test_near_uniform_oracle_useless():
     ps = gen_near_uniform_highdim(10, 0.4, seed=2)
     q, _ = best_separated_pair(ps, 2.0, SeparationKind.WELL)
     assert q == 1
+
+
+def _near_uniform_tensor_reference(n, eps, seed):
+    """The generator as it was: the band checked on the (n(n-1)/2, dim) array
+    of pair differences."""
+    dim = 8 * math.ceil(math.log(n) / eps**2)
+    iu = np.triu_indices(n, 1)
+    for attempt in range(gens._EMBED_ATTEMPTS):
+        rng = np.random.default_rng([seed, attempt])
+        pts = rng.standard_normal((n, dim)) / math.sqrt(2.0 * dim)
+        diff = pts[iu[0]] - pts[iu[1]]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        if d.min() >= 1.0 - eps and d.max() <= 1.0 + eps:
+            return pts
+    raise AssertionError("reference found no embedding")
+
+
+@pytest.mark.parametrize("n", [2, 12, 40, 100])
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+def test_near_uniform_matches_difference_array_check(n, eps):
+    for seed in range(3):
+        got = gen_near_uniform_highdim(n, eps, seed).coords
+        assert np.array_equal(got, _near_uniform_tensor_reference(n, eps, seed))
 
 
 def test_near_uniform_validation():

@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sepclust
 from sepclust.geometry import (
     Ball,
     PointSet,
@@ -246,6 +248,24 @@ def test_reductions_and_membership_agree_with_matrix(d):
     assert closest_pair(a) == (full + np.diag(np.full(300, np.inf))).min()
     assert set_distance(a, b) == pairwise_distances(a, b).min()
     assert set_distance(b, a) == pairwise_distances(b, a).min()
+    cross = pairwise_distances(a, b)
+    assert all(
+        distance(a[i], b[j]) == cross[i, j] for i in range(0, 300, 7) for j in range(41)
+    )
     for i, j in [(0, 1), (17, 255), (299, 256)]:
         ball = Ball(a[i], full[i, j])
         assert np.array_equal(ball.contains(a, rel_tol=0.0), full[i] <= full[i, j])
+
+
+def test_every_distance_goes_through_the_kernel():
+    # einsum and linalg.norm sum in an order of their own. Only the oracle may
+    # use them, for its Gram systems and its own exact baselines.
+    src = Path(sepclust.__file__).parent
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "oracle.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "einsum" in line or "linalg.norm" in line
+    ]
+    assert hits == []

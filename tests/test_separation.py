@@ -132,7 +132,12 @@ def test_clustering_validation():
         Clustering(
             points=pts, clusters=(np.array([3]),), sigma=1.0, kind=SeparationKind.SEMI
         )
-    with pytest.raises(ValueError):
-        Clustering(
-            points=pts, clusters=(np.array([0]),), sigma=0.0, kind=SeparationKind.SEMI
-        )
+    for sigma in (0.0, float("nan"), float("inf"), 1e308):
+        with pytest.raises(ValueError, match="sigma"):
+            Clustering(
+                points=pts, clusters=(np.array([0]),), sigma=sigma, kind=SeparationKind.SEMI
+            )
+    big = Clustering(
+        points=pts, clusters=(np.array([0]),), sigma=8.98e307, kind=SeparationKind.SEMI
+    )
+    assert big.sigma == 8.98e307
