@@ -15,9 +15,13 @@ the surviving points, its alpha nearest points, and removal. The rule is
   selector; well separation.
 
 Alpha (the per-cluster size target) is either explicit, derived from a
-caller-supplied constant, or found automatically by doubling then binary
-search. Auto mode returns a feasible alpha whose alpha + 1 was probed and
-failed, or one equal to the cap (n // k, or the smallest color size).
+caller-supplied constant c, or found automatically by doubling then binary
+search, under one policy for all four (``_verified``). With m = n, or the
+smallest color size on colored input, c gives alpha = max(1, ceil(c m /
+(k sigma^d))) for semi and max(1, floor(c m / (k sigma^d max(1, log2 Phi))))
+for strong and well, Phi the spread of all points (sigma^d beyond a double:
+alpha = 1). Auto mode returns a feasible alpha whose alpha + 1 was probed
+and failed, or one equal to the cap (n // k, or m on colored input).
 Feasibility is not downward closed, so a larger alpha may still succeed;
 auto mode does not promise the largest feasible alpha. Every returned
 clustering is re-verified with ``check_separation`` before it leaves this
@@ -34,6 +38,7 @@ corresponding cluster-level separation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -125,7 +130,9 @@ class ExtractionConfig:
     ``alpha=None`` selects auto mode (a feasible alpha whose successor is
     infeasible, or the cap; see ``_search_max_alpha``). ``c_override``
     instead derives alpha from the classical formula with the given constant;
-    it is mutually exclusive with an explicit alpha.
+    it is mutually exclusive with an explicit alpha. ``k`` and an explicit
+    ``alpha`` are integers >= 1 and ``c_override`` is finite and > 0 (else a
+    ValueError, as for a sigma that fails ``check_sigma``).
     """
 
     sigma: float
@@ -135,10 +142,16 @@ class ExtractionConfig:
 
     def __post_init__(self):
         check_sigma(self.sigma)
-        if int(self.k) < 1:
+        for name, value in (("k", self.k), ("alpha", self.alpha)):
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.alpha is not None and int(self.alpha) < 1:
+        if self.alpha is not None and self.alpha < 1:
             raise ValueError("explicit alpha must be at least 1")
+        c = self.c_override
+        if c is not None and not (float(c) > 0.0 and math.isfinite(float(c))):
+            raise ValueError(f"c_override must be finite and positive, got {c!r}")
         if self.alpha is not None and self.c_override is not None:
             raise ValueError("alpha and c_override are mutually exclusive")
 
@@ -208,20 +221,64 @@ def _resolve_alpha(cfg: ExtractionConfig, run: Callable, cap: int, formula: Call
     return _search_max_alpha(run, cap)
 
 
-def _verified(points, clusters, balls, cfg, kind, colors=None, alpha=None) -> Clustering:
+def _plain_front(points, cfg: ExtractionConfig):
+    """The input as a PointSet with at least k points, and its distance matrix."""
+    if not isinstance(points, PointSet):
+        points = PointSet(points)
+    if points.n < cfg.k:
+        raise ValueError(f"need at least k={cfg.k} points, got {points.n}")
+    return points, pairwise_distances(points.coords)
+
+
+def _color_front(inst: ColoredInstance, cfg: ExtractionConfig, kind: SeparationKind):
+    """Per-color global indices, coordinates and distance matrices.
+
+    Every input check, well separation's included, runs before the first
+    distance matrix is built.
+    """
+    k = cfg.k
+    if inst.k != k:
+        raise ValueError(f"config k={k} but instance has {inst.k} colors")
+    well = kind is SeparationKind.WELL
+    if well and len(set(inst.sizes)) != 1:
+        raise ValueError("well-separated colored extraction needs equal color sizes")
+    if well and inst.points.n >= 2 and closest_pair(inst.points) == 0.0:
+        raise ValueError("spread undefined: union contains duplicate points")
+    g_idx = [inst.color_indices(c) for c in range(k)]
+    coords_c = [inst.points.coords[g] for g in g_idx]
+    return g_idx, coords_c, [pairwise_distances(cc) for cc in coords_c]
+
+
+def _verified(obj, cfg: ExtractionConfig, kind: SeparationKind, run: Callable) -> Clustering:
+    """Resolve alpha under the one policy, run, and self-check the clustering.
+
+    ``obj`` is a PointSet (m = n, cap n // k) or a ColoredInstance (m = the
+    smallest color size, cap m); ``run(alpha)`` returns (clusters, balls).
+    """
+    colored = isinstance(obj, ColoredInstance)
+    points = obj.points if colored else obj
+    k, sigma = cfg.k, float(cfg.sigma)
+    m = min(obj.sizes) if colored else points.n
+
+    def formula(c: float) -> int:
+        try:
+            denom = k * sigma ** points.dim
+        except OverflowError:  # sigma^d beyond a double: the formula is below one
+            return 1
+        if kind is SeparationKind.SEMI:
+            return math.ceil(c * m / denom)
+        phi = spread(points) if points.n >= 2 else 1.0
+        return math.floor(c * m / (denom * max(1.0, math.log2(phi))))
+
+    alpha, (clusters, balls) = _resolve_alpha(
+        cfg, run, cap=m if colored else m // k, formula=formula
+    )
     clustering = Clustering(
-        points=points,
-        clusters=tuple(clusters),
-        sigma=cfg.sigma,
-        kind=kind,
-        colors=colors,
-        balls=tuple(balls),
-        alpha=alpha,
+        points=points, clusters=tuple(clusters), sigma=cfg.sigma, kind=kind,
+        colors=obj.colors if colored else None, balls=tuple(balls), alpha=alpha,
     )
     if not check_separation(clustering):
-        raise VerificationFailed(
-            f"{kind.value} separation re-check failed (internal error)"
-        )
+        raise VerificationFailed(f"{kind.value} separation re-check failed (internal error)")
     return clustering
 
 
@@ -234,15 +291,9 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     Later clusters therefore sit at distance >= 2 sigma r_i from cluster i,
     which is at least sigma times its diameter.
     """
-    if not isinstance(points, PointSet):
-        points = PointSet(points)
-    n, k = points.n, cfg.k
-    if n < k:
-        raise ValueError(f"need at least k={k} points, got {n}")
-    coords = points.coords
-    dist = pairwise_distances(coords)
-    sigma = float(cfg.sigma)
-    scale = 2.0 * sigma + 2.0
+    points, dist = _plain_front(points, cfg)
+    coords, k = points.coords, cfg.k
+    scale = 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
         engine = DenseBalls(dist, alpha)
@@ -256,12 +307,7 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
             engine.remove(engine.within(center, scale * r * (1.0 + REL_TOL)))
         return clusters, balls
 
-    def formula(c: float) -> int:
-        return math.ceil(c * n / (k * sigma ** points.dim))
-
-    alpha, out = _resolve_alpha(cfg, run, cap=n // k, formula=formula)
-    clusters, balls = out
-    return _verified(points, clusters, balls, cfg, SeparationKind.SEMI, alpha=alpha)
+    return _verified(points, cfg, SeparationKind.SEMI, run)
 
 
 def semi_separated_k_colored(
@@ -274,14 +320,9 @@ def semi_separated_k_colored(
     with the alpha covered points nearest the center, and removes points of
     the remaining active colors inside the (2 sigma + 2)-scaled ball.
     """
+    g_idx, coords_c, dist_c = _color_front(inst, cfg, SeparationKind.SEMI)
     k = cfg.k
-    if inst.k != k:
-        raise ValueError(f"config k={k} but instance has {inst.k} colors")
-    sigma = float(cfg.sigma)
-    scale = 2.0 * sigma + 2.0
-    g_idx = [inst.color_indices(c) for c in range(k)]
-    coords_c = [inst.points.coords[g] for g in g_idx]
-    dist_c = [pairwise_distances(cc) for cc in coords_c]
+    scale = 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
         engines = [DenseBalls(dc, alpha) for dc in dist_c]
@@ -308,16 +349,7 @@ def semi_separated_k_colored(
                 engines[c2].remove(idx2[d2 <= cut])
         return out_clusters, out_balls
 
-    def formula(c: float) -> int:
-        n = min(inst.sizes)
-        return math.ceil(c * n / (k * sigma ** inst.points.dim))
-
-    alpha, out = _resolve_alpha(cfg, run, cap=min(inst.sizes), formula=formula)
-    clusters, balls = out
-    return _verified(
-        inst.points, clusters, balls, cfg, SeparationKind.SEMI,
-        colors=inst.colors, alpha=alpha,
-    )
+    return _verified(inst, cfg, SeparationKind.SEMI, run)
 
 
 def _select_separated(
@@ -335,27 +367,25 @@ def _select_separated(
     """
     pool = np.lexsort((radii,) if colors is None else (colors, radii))
     picked = []
-    while len(picked) < k:
-        if colors is not None:
-            left = np.zeros(k, dtype=bool)
-            left[colors[pool]] = True
-            left[colors[picked]] = True
-            if not left.all():
-                raise ColorExhausted(int(np.argmin(left)))
-        if pool.size == 0:
-            raise InsufficientPoints(len(picked))
-        t0, rest = int(pool[0]), pool[1:]
-        picked.append(t0)
-        gaps = _distances_to(pts[rest], pts[t0]) - radii[t0] - radii[rest]
-        keep = gaps >= 2.0 * sigma * np.maximum(radii[rest], max(radii[t0], r_floor))
-        if colors is not None:
-            keep &= colors[rest] != colors[t0]
-        pool = rest[keep]
+    # A huge sigma may overflow 2 sigma r to inf, which correctly drops the pair.
+    with np.errstate(over="ignore"):
+        while len(picked) < k:
+            if colors is not None:
+                left = np.zeros(k, dtype=bool)
+                left[colors[pool]] = True
+                left[colors[picked]] = True
+                if not left.all():
+                    raise ColorExhausted(int(np.argmin(left)))
+            if pool.size == 0:
+                raise InsufficientPoints(len(picked))
+            t0, rest = int(pool[0]), pool[1:]
+            picked.append(t0)
+            gaps = _distances_to(pts[rest], pts[t0]) - radii[t0] - radii[rest]
+            keep = gaps >= 2.0 * sigma * np.maximum(radii[rest], max(radii[t0], r_floor))
+            if colors is not None:
+                keep &= colors[rest] != colors[t0]
+            pool = rest[keep]
     return picked
-
-
-def _log_spread(value: float) -> float:
-    return max(1.0, math.log2(value))
 
 
 def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
@@ -370,17 +400,11 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     strong separation. The trailing partial step is never picked, keeping
     every cluster at exactly alpha points.
     """
-    if not isinstance(points, PointSet):
-        points = PointSet(points)
-    n, k = points.n, cfg.k
-    if n < k:
-        raise ValueError(f"need at least k={k} points, got {n}")
-    coords = points.coords
-    dist = pairwise_distances(coords)
+    points, dist = _plain_front(points, cfg)
     # The diagonal is exactly zero, so any further zero is a duplicate.
-    if np.count_nonzero(dist == 0.0) > n:
+    if np.count_nonzero(dist == 0.0) > points.n:
         raise ValueError("spread undefined: point set contains duplicates")
-    sigma = float(cfg.sigma)
+    coords, k, sigma = points.coords, cfg.k, float(cfg.sigma)
 
     def run(alpha: int):
         qc = _quorum_steps(dist, alpha)
@@ -401,13 +425,7 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
         balls = [Ball(coords[centers[t]].copy(), rads[t]) for t in picked]
         return clusters, balls
 
-    def formula(c: float) -> int:
-        phi = spread(points) if n >= 2 else 1.0
-        return math.floor(c * n / (k * sigma ** points.dim * _log_spread(phi)))
-
-    alpha, out = _resolve_alpha(cfg, run, cap=n // k, formula=formula)
-    clusters, balls = out
-    return _verified(points, clusters, balls, cfg, SeparationKind.STRONG, alpha=alpha)
+    return _verified(points, cfg, SeparationKind.STRONG, run)
 
 
 def well_separated_k_colored(
@@ -422,18 +440,8 @@ def well_separated_k_colored(
     ``2 sigma max(r_i, r_j)``). Erroring out as soon as an unserved color has
     no balls left keeps failures deterministic.
     """
-    k = cfg.k
-    if inst.k != k:
-        raise ValueError(f"config k={k} but instance has {inst.k} colors")
-    sizes = inst.sizes
-    if len(set(sizes)) != 1:
-        raise ValueError("well-separated colored extraction needs equal color sizes")
-    if inst.points.n >= 2 and closest_pair(inst.points) == 0.0:
-        raise ValueError("spread undefined: union contains duplicate points")
-    sigma = float(cfg.sigma)
-    g_idx = [inst.color_indices(c) for c in range(k)]
-    coords_c = [inst.points.coords[g] for g in g_idx]
-    dist_c = [pairwise_distances(cc) for cc in coords_c]
+    g_idx, coords_c, dist_c = _color_front(inst, cfg, SeparationKind.WELL)
+    k, sigma = cfg.k, float(cfg.sigma)
 
     def run(alpha: int):
         qcs = [_quorum_steps(dc, alpha) for dc in dist_c]
@@ -453,14 +461,4 @@ def well_separated_k_colored(
             out_balls[c0] = Ball(pts[t].copy(), rads[t])
         return out_clusters, out_balls
 
-    def formula(c: float) -> int:
-        phi = spread(inst.points) if inst.points.n >= 2 else 1.0
-        n = sizes[0]
-        return math.floor(c * n / (k * sigma ** inst.points.dim * _log_spread(phi)))
-
-    alpha, out = _resolve_alpha(cfg, run, cap=min(sizes), formula=formula)
-    clusters, balls = out
-    return _verified(
-        inst.points, clusters, balls, cfg, SeparationKind.WELL,
-        colors=inst.colors, alpha=alpha,
-    )
+    return _verified(inst, cfg, SeparationKind.WELL, run)

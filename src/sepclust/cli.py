@@ -53,7 +53,7 @@ from .oracle import (
     check_three_color_hopeless,
     exact_min_ball_alpha,
 )
-from .quorum import max_epoch_depth, quorum_clustering
+from .quorum import epochs, max_epoch_depth, quorum_clustering
 from .separation import pair_margins, quality
 
 _ALGOS = {
@@ -245,7 +245,7 @@ def bench_rows(suite: str = "default"):
                 algo=algo,
                 alpha=clustering.alpha,
                 quality=quality(clustering),
-                epochs=len(qc.epoch_partition()),
+                epochs=len(epochs(qc.radii)),
                 max_depth=max_epoch_depth(qc, ps_union),
                 verified=True,  # algorithms re-verify before returning
                 wall_ms=wall_ms,

@@ -47,9 +47,6 @@ class QuorumClustering:
         """Number of steps holding exactly ``gamma`` members (a prefix)."""
         return len(self.members) - (self.members[-1].size < self.gamma)
 
-    def epoch_partition(self) -> tuple:
-        return epochs(self.radii)
-
 
 def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
     """Quorum clustering on a precomputed distance matrix.
@@ -118,25 +115,23 @@ def epochs(radii) -> tuple:
     return tuple(ranges)
 
 
-def cover_depth(balls, point, rel_tol: float = REL_TOL) -> int:
+def cover_depth(balls, point) -> int:
     """Number of balls containing the point (with radius tolerance)."""
     pt = np.asarray(point, dtype=float).ravel()
     count = 0
     for b in balls:
-        if b.contains(pt, rel_tol=rel_tol):
+        if b.contains(pt):
             count += 1
     return count
 
 
-def max_epoch_depth(
-    qc: QuorumClustering, ps: PointSet, rel_tol: float = REL_TOL
-) -> int:
+def max_epoch_depth(qc: QuorumClustering, ps: PointSet) -> int:
     """Max over epochs and input points of the point's depth in that epoch."""
     coords = ps.coords
     worst = 0
-    for s, e in qc.epoch_partition():
+    for s, e in epochs(qc.radii):
         centers = coords[qc.centers[s:e]]
-        radii = qc.radii[s:e] * (1.0 + rel_tol)
+        radii = qc.radii[s:e] * (1.0 + REL_TOL)
         for blk in range(0, coords.shape[0], 512):
             d = pairwise_distances(coords[blk : blk + 512], centers)
             depth = int((d <= radii[None, :]).sum(axis=1).max())

@@ -114,11 +114,11 @@ def cluster_diameters(clustering: Clustering) -> np.ndarray:
     return np.array([diameter(coords[c]) for c in clustering.clusters])
 
 
-def pair_margins(clustering: Clustering, rel_tol: float = REL_TOL) -> list:
+def pair_margins(clustering: Clustering) -> list:
     """Per-pair report: distance, required separation, ratio, verdict.
 
     The required separation is ``sigma * D`` with D chosen by the clustering's
-    kind; the verdict allows a relative slack of ``rel_tol`` so constructions
+    kind; the verdict allows a relative slack of ``REL_TOL`` so constructions
     sitting exactly on the boundary verify.
     """
     coords = clustering.points.coords
@@ -139,7 +139,7 @@ def pair_margins(clustering: Clustering, rel_tol: float = REL_TOL) -> list:
             else:
                 term = min(diams[i], diams[j])
             required = sigma * term
-            ok = dist >= required * (1.0 - rel_tol)
+            ok = dist >= required * (1.0 - REL_TOL)
             ratio = float(dist / required) if required > 0.0 else float("inf")
             rows.append(
                 {
@@ -155,9 +155,9 @@ def pair_margins(clustering: Clustering, rel_tol: float = REL_TOL) -> list:
     return rows
 
 
-def check_separation(clustering: Clustering, rel_tol: float = REL_TOL) -> bool:
+def check_separation(clustering: Clustering) -> bool:
     """True iff every cluster pair meets the declared separation."""
-    return all(row["ok"] for row in pair_margins(clustering, rel_tol))
+    return all(row["ok"] for row in pair_margins(clustering))
 
 
 def quality(clustering: Clustering) -> int:

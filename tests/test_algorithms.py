@@ -177,6 +177,29 @@ def test_c_override_formula_colored_and_strong():
     # a formula below one still probes alpha = 1
     cl = well_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=3, c_override=0.01))
     assert cl.alpha == 1
+    # colored m is the smallest color size: 3 here gives a feasible alpha,
+    # the first color's 5 would not
+    inst = ColoredInstance.from_sets(
+        [PointSet(np.linspace(0.0, 1.0, 5)), PointSet(100.0 + np.linspace(0.0, 1.0, 3))]
+    )
+    cl = semi_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=2, c_override=2.0))
+    assert cl.alpha == math.ceil(2.0 * 3 / (2 * 1.0**1)) == 3
+    with pytest.raises(InsufficientPoints):
+        semi_separated_k_colored(inst, ExtractionConfig(sigma=1.0, k=2, alpha=5))
+
+
+def test_c_override_with_sigma_power_beyond_a_double():
+    # sigma^d = 1e400 overflows a double; the formula is then below one.
+    ps = gen_random_uniform(40, 2, 8)
+    inst = ColoredInstance(ps, np.arange(ps.n) % 2)
+    cfg = ExtractionConfig(sigma=1e200, k=2, c_override=1.0)
+    for fn, obj in [
+        (semi_separated_k, ps),
+        (strong_separated_k, ps),
+        (semi_separated_k_colored, inst),
+        (well_separated_k_colored, inst),
+    ]:
+        assert fn(obj, cfg).alpha == 1, fn.__name__
 
 
 # ------------------------------------------------------- semi colored
@@ -376,6 +399,16 @@ def test_config_validation():
         ExtractionConfig(sigma=1.0, k=1, alpha=0)
     with pytest.raises(ValueError):
         ExtractionConfig(sigma=1.0, k=1, alpha=2, c_override=1.0)
+    for c in (float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="c_override"):
+            ExtractionConfig(sigma=1.0, k=1, c_override=c)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ExtractionConfig(sigma=1.0, k=2.5)
+    with pytest.raises(ValueError, match="alpha must be an integer"):
+        ExtractionConfig(sigma=1.0, k=1, alpha=2.5)
+    # numpy integers are integers
+    cfg = ExtractionConfig(sigma=1.0, k=np.int64(2), alpha=np.int32(3))
+    assert semi_separated_k(three_groups_1d(), cfg).alpha == 3
 
 
 def test_colored_instance_validation():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,28 @@ def test_cluster_sigma_out_of_range_exit_2(capsys, tmp_path, algo, sigma):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: sigma must be positive with 2*sigma + 2 finite")
+
+
+@pytest.mark.parametrize(
+    "algo, generator",
+    [("well-colored", ["threecolor", "--n", "5"]), ("strong", ["expline", "--n", "24"])],
+)
+def test_cluster_huge_sigma_writes_no_warning(capsys, tmp_path, algo, generator):
+    # At the largest valid sigma, 2 sigma r overflows to inf inside the
+    # selector; that drops the pair as it should and must print nothing.
+    # A fresh interpreter with warnings shown sees what a shell user would.
+    pts = tmp_path / "p.txt"
+    run(capsys, "generate", *generator, "--out", str(pts))
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sepclust.cli import main; sys.exit(main())",
+         "cluster", "--algo", algo, "--k", "3", "--sigma", "8.98e307", "--in", str(pts),
+         "--out", str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads((tmp_path / "c.json").read_text())["verified"] is True
 
 
 def test_cluster_infeasible_exit_3(capsys, tmp_path):

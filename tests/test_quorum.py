@@ -97,7 +97,7 @@ def test_epoch_radius_band_and_factor_64_on_full_steps():
     ps = PointSet(rng.random((120, 2)))
     for gamma in (2, 5, 11):
         qc = quorum_clustering(ps, gamma)
-        for s, e in qc.epoch_partition():
+        for s, e in epochs(qc.radii):
             rr = qc.radii[s:e]
             assert rr.max() <= 4 * rr[0] * (1 + 1e-12)
             full = [
@@ -117,7 +117,7 @@ def test_epoch_count_bounded_by_spread():
         bound = math.ceil(math.log(phi, 4)) + 2
         for gamma in (2, 4, 9):
             qc = quorum_clustering(ps, gamma)
-            assert len(qc.epoch_partition()) <= bound
+            assert len(epochs(qc.radii)) <= bound
 
 
 def test_two_approximation_per_step_against_oracle():
