@@ -20,8 +20,10 @@ search, under one policy for all four (``_verified``). With m = n, or the
 smallest color size on colored input, c gives alpha = max(1, ceil(c m /
 (k sigma^d))) for semi and max(1, floor(c m / (k sigma^d max(1, log2 Phi))))
 for strong and well, Phi the spread of all points (sigma^d beyond a double:
-alpha = 1). Auto mode returns a feasible alpha whose alpha + 1 was probed
-and failed, or one equal to the cap (n // k, or m on colored input).
+alpha = 1; the quotient is capped at the infeasible n + 1, and sigma^d = 0
+counts as an infinite quotient). Auto mode returns a feasible alpha whose
+alpha + 1 was probed and failed, or one equal to the cap (n // k, or m on
+colored input).
 Feasibility is not downward closed, so a larger alpha may still succeed;
 auto mode does not promise the largest feasible alpha. Every returned
 clustering is re-verified with ``check_separation`` before it leaves this
@@ -265,10 +267,11 @@ def _verified(obj, cfg: ExtractionConfig, kind: SeparationKind, run: Callable) -
             denom = k * sigma ** points.dim
         except OverflowError:  # sigma^d beyond a double: the formula is below one
             return 1
-        if kind is SeparationKind.SEMI:
-            return math.ceil(c * m / denom)
-        phi = spread(points) if points.n >= 2 else 1.0
-        return math.floor(c * m / (denom * max(1.0, math.log2(phi))))
+        if kind is not SeparationKind.SEMI:
+            phi = spread(points) if points.n >= 2 else 1.0
+            denom *= max(1.0, math.log2(phi))
+        q = min(c * m / denom if denom else math.inf, points.n + 1)
+        return math.ceil(q) if kind is SeparationKind.SEMI else math.floor(q)
 
     alpha, (clusters, balls) = _resolve_alpha(
         cfg, run, cap=m if colored else m // k, formula=formula
@@ -391,14 +394,13 @@ def _select_separated(
 def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     """k strongly sigma-separated clusters via quorum clustering.
 
-    Quorum-cluster the set with quota alpha, take the epoch holding the most
-    full steps (ties toward the earliest epoch), then greedily pick balls in
-    ascending step order (full-step radii never decrease, so this is the
+    Quorum-cluster the set with quota alpha (full steps only), take the
+    longest epoch (ties toward the earliest), then greedily pick balls in
+    ascending step order (the radii never decrease, so this is the
     selector's radius order), dropping every ball whose gap to a picked ball
     is below ``2 sigma r_hat`` (r_hat = largest candidate radius of the epoch).
     All cluster diameters are at most ``2 r_hat``, so the kept gaps certify
-    strong separation. The trailing partial step is never picked, keeping
-    every cluster at exactly alpha points.
+    strong separation, and every cluster holds exactly alpha points.
     """
     points, dist = _plain_front(points, cfg)
     # The diagonal is exactly zero, so any further zero is a duplicate.
@@ -408,15 +410,9 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
 
     def run(alpha: int):
         qc = _quorum_steps(dist, alpha)
-        n_full = qc.full_steps
-        best_range, best_count = None, 0
-        for s, e in epochs(qc.radii):
-            cnt = min(e, n_full) - s
-            if cnt > best_count:
-                best_range, best_count = (s, e), cnt
-        if best_range is None:
+        if len(qc) == 0:
             raise InsufficientPoints(0)
-        cand = np.arange(best_range[0], min(best_range[1], n_full))
+        cand = np.arange(*max(epochs(qc.radii), key=lambda se: se[1] - se[0]))
         centers, rads = qc.centers[cand], qc.radii[cand]
         picked = _select_separated(
             coords[centers], rads, None, k, sigma, r_floor=float(rads.max())
@@ -445,13 +441,10 @@ def well_separated_k_colored(
 
     def run(alpha: int):
         qcs = [_quorum_steps(dc, alpha) for dc in dist_c]
-        heads = [qc.full_steps for qc in qcs]
-        colors = np.repeat(np.arange(k), heads)
-        ctrs = np.concatenate([qc.centers[:h] for qc, h in zip(qcs, heads)])
-        rads = np.concatenate([qc.radii[:h] for qc, h in zip(qcs, heads)])
-        pts = np.concatenate(
-            [cc[qc.centers[:h]] for cc, qc, h in zip(coords_c, qcs, heads)]
-        )
+        colors = np.repeat(np.arange(k), [len(qc) for qc in qcs])
+        ctrs = np.concatenate([qc.centers for qc in qcs])
+        rads = np.concatenate([qc.radii for qc in qcs])
+        pts = np.concatenate([cc[qc.centers] for cc, qc in zip(coords_c, qcs)])
         out_clusters = [None] * k
         out_balls = [None] * k
         for t in _select_separated(pts, rads, colors, k, sigma, r_floor=0.0):

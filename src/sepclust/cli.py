@@ -4,10 +4,11 @@ Subcommands: ``generate`` instances, ``cluster`` a points file, ``verify`` a
 clustering file against its points, run ``oracle`` baselines, and ``bench``
 a seeded suite to CSV.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 infeasible extraction, 4 oracle budget exceeded. All randomness flows from
-explicit seeds; the environment variable ``SEPCLUST_SEED`` serves as a
-fallback when a seeded generator is invoked without ``--seed``.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error (or
+an input too large to allocate), 3 infeasible extraction, 4 oracle budget
+exceeded. All randomness flows from explicit seeds; the environment variable
+``SEPCLUST_SEED`` serves as a fallback when a seeded generator is invoked
+without ``--seed``.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

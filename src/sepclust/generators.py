@@ -111,6 +111,8 @@ def gen_exponential_ring_grid(n: int, spread_target: float, dim: int) -> PointSe
     spread_target = float(spread_target)
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be positive")
+    if not math.isfinite(spread_target):
+        raise ValueError(f"spread target must be finite, got {spread_target}")
     if spread_target < n or spread_target <= 1.0:
         raise ValueError("spread target must be > 1 and at least n")
     levels = math.ceil(math.log2(spread_target))

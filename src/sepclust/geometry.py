@@ -250,10 +250,11 @@ class DenseBalls:
         self._heap = []
         if n >= self.alpha:
             a = self.alpha - 1
-            start = np.concatenate([
-                np.partition(dist[s : s + _BLOCK], a, axis=1)[:, a]
-                for s in range(0, n, _BLOCK)
-            ])
+            start = np.empty(n)
+            for s in range(0, n, _BLOCK):
+                start[s : s + _BLOCK] = np.partition(
+                    dist[s : s + _BLOCK], a, axis=1
+                )[:, a]
             self._heap = list(zip(start.tolist(), range(n), [0] * n))
             heapq.heapify(self._heap)
 

@@ -2,14 +2,15 @@
 
 Quorum clustering repeatedly extracts a 2-approximate smallest ball holding a
 fixed quota of the surviving points, removes exactly that quota, and repeats
-until the set is exhausted; the final step may hold fewer points. The balls
-come from the dense-ball engine ``geometry.DenseBalls``, which reads only the
-distance matrix. A :class:`QuorumClustering` keeps the steps as aligned
-arrays: step t is centered at point ``qc.centers[t]`` with radius
-``qc.radii[t]`` and removed the sorted indices ``qc.members[t]``. The radius
-sequence splits greedily into epochs: maximal runs whose radii stay within
-4x the run's first radius, returned by ``epochs`` as a tuple of half-open
-``(start, end)`` step ranges.
+while at least a quota survives (the full steps, ``_quorum_steps``);
+``quorum_clustering`` then adds one smaller remainder step so that every point
+is covered. The balls come from the dense-ball engine ``geometry.DenseBalls``,
+which reads only the distance matrix. A :class:`QuorumClustering` keeps the
+steps as aligned arrays: step t is centered at point ``qc.centers[t]`` with
+radius ``qc.radii[t]`` and removed the sorted indices ``qc.members[t]``. The
+radius sequence splits greedily into epochs: maximal runs whose radii stay
+within 4x the run's first radius, returned by ``epochs`` as a tuple of
+half-open ``(start, end)`` step ranges.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ class QuorumClustering:
     """Steps of one quorum clustering with quota ``gamma``, as aligned arrays.
 
     ``centers`` holds the center point indices, ``radii`` the ball radii and
-    ``members`` the sorted member index arrays. Every step but possibly the
-    last holds exactly ``gamma`` members, so the full steps form a prefix.
+    ``members`` the sorted member index arrays. Every step holds exactly
+    ``gamma`` members, except the remainder step that ``quorum_clustering``
+    appends last.
     """
 
     gamma: int
@@ -42,36 +44,25 @@ class QuorumClustering:
     def __len__(self) -> int:
         return len(self.members)
 
-    @property
-    def full_steps(self) -> int:
-        """Number of steps holding exactly ``gamma`` members (a prefix)."""
-        return len(self.members) - (self.members[-1].size < self.gamma)
-
 
 def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
-    """Quorum clustering on a precomputed distance matrix.
+    """The full steps of a quorum clustering on a precomputed distance matrix.
 
-    Every full step is the :class:`DenseBalls` engine's smallest gamma-ball
-    among the survivors and removes its gamma members, the covered points
-    nearest the center (ties by index). The last step swallows the at most
-    gamma points left, centered where the largest distance to them is
-    smallest.
+    Every step is the :class:`DenseBalls` engine's smallest gamma-ball among
+    the survivors and removes its gamma members, the covered points nearest
+    the center (ties by index). Steps run while at least gamma points
+    survive, so every step holds exactly gamma members, fewer than gamma
+    points are left, and there are no steps when n < gamma.
     """
     balls = DenseBalls(dist, gamma)
     centers, radii, members = [], [], []
-    while balls.alive.size > gamma:
+    while balls.alive.size >= gamma:
         center, radius = balls.smallest()
         taken = balls.nearest(center, radius)
         balls.remove(taken)
         centers.append(center)
         radii.append(radius)
         members.append(taken)
-    idx = balls.alive
-    far = dist[np.ix_(idx, idx)].max(axis=1)
-    j = int(np.argmin(far))
-    centers.append(int(idx[j]))
-    radii.append(float(far[j]))
-    members.append(idx)
     return QuorumClustering(
         gamma, np.array(centers, dtype=int), np.array(radii), tuple(members)
     )
@@ -80,16 +71,24 @@ def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
 def quorum_clustering(ps: PointSet, gamma: int) -> QuorumClustering:
     """Partition all indices into quota-sized balls (last one may be smaller).
 
-    Each step runs the 2-approximate dense-ball extraction on the survivors
-    with quota ``min(gamma, survivors)``; the quota members removed are the
-    covered points nearest the ball center, ties by index.
+    The full steps of ``_quorum_steps``, then, when n % gamma != 0, one
+    remainder step over the fewer than gamma indices left, centered where the
+    largest distance to them is smallest (ties to the smallest index).
     """
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
     gamma = int(gamma)
     if gamma < 1 or gamma > ps.n:
         raise ValueError(f"gamma must be in [1, {ps.n}], got {gamma}")
-    return _quorum_steps(pairwise_distances(ps.coords), gamma)
+    dist = pairwise_distances(ps.coords)
+    qc = _quorum_steps(dist, gamma)
+    if ps.n % gamma == 0:
+        return qc
+    idx = np.setdiff1d(np.arange(ps.n), np.concatenate(qc.members))
+    far = dist[np.ix_(idx, idx)].max(axis=1)
+    j = int(np.argmin(far))
+    centers, radii = np.append(qc.centers, idx[j]), np.append(qc.radii, far[j])
+    return QuorumClustering(gamma, centers, radii, qc.members + (idx,))
 
 
 def epochs(radii) -> tuple:

@@ -202,6 +202,25 @@ def test_c_override_with_sigma_power_beyond_a_double():
         assert fn(obj, cfg).alpha == 1, fn.__name__
 
 
+def test_c_override_float_edges_fail_like_a_huge_c():
+    # sigma^d = 0 (1e-300 squared) and c * m beyond a double both cap the
+    # formula at n + 1, which fails at iteration (or color) 0 like c = 1e300.
+    ps = gen_random_uniform(40, 2, 8)
+    inst = ColoredInstance(ps, np.arange(ps.n) % 2)
+    cases = [
+        (semi_separated_k, ps, InsufficientPoints),
+        (strong_separated_k, ps, InsufficientPoints),
+        (semi_separated_k_colored, inst, InsufficientPoints),
+        (well_separated_k_colored, inst, ColorExhausted),
+    ]
+    for sigma, c in [(1e-300, 1.0), (1.0, 1e308), (1.0, 1e300)]:
+        cfg = ExtractionConfig(sigma=sigma, k=2, c_override=c)
+        for fn, obj, exc in cases:
+            with pytest.raises(exc) as err:
+                fn(obj, cfg)
+            assert str(err.value) == str(exc(0)), fn.__name__
+
+
 # ------------------------------------------------------- semi colored
 
 

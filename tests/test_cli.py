@@ -54,6 +54,24 @@ def test_generate_seed_env_fallback(capsys, monkeypatch, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("spread", ["inf", "nan"])
+def test_generate_expgrid_non_finite_spread_exit_2(capsys, spread):
+    code, out, err = run(capsys, "generate", "expgrid", "--n", "4", "--spread", spread, "--dim", "2")
+    assert code == 2 and out == ""
+    assert f"spread target must be finite, got {spread}" in err
+
+
+def test_generate_out_of_memory_exit_2(capsys, monkeypatch):
+    def too_large(n, dim, seed):
+        raise MemoryError(f"cannot allocate {n} x {dim} points")
+
+    fields = cli.GENERATORS["random"][1]
+    monkeypatch.setitem(cli.GENERATORS, "random", (too_large, fields))
+    code, out, err = run(capsys, "generate", "random", "--n", "1000000000000", "--dim", "2", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == "error: cannot allocate 1000000000000 x 2 points\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["generate", "grid", "--side", "2"]) == 2  # missing --dim
     assert main(["cluster", "--algo", "bogus"]) == 2

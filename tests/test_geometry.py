@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import sepclust
 from sepclust.geometry import (
     Ball,
+    DenseBalls,
     PointSet,
     approx_min_ball_alpha,
     closest_pair,
@@ -172,6 +174,19 @@ def test_approx_min_ball_two_approximation_sweep():
             ball = approx_min_ball_alpha(ps, alpha)
             assert ball.contains(ps.coords).sum() >= alpha
             assert exact[alpha - 1] <= ball.radius <= 2 * exact[alpha - 1] * (1 + 1e-9)
+
+
+def test_dense_balls_seed_holds_one_row_block():
+    # The seed radii are partitioned block by block into one vector; keeping
+    # every partitioned block alive would cost a second n x n matrix.
+    dist = pairwise_distances(np.random.default_rng(4).random((2048, 2)))
+    tracemalloc.start()
+    try:
+        DenseBalls(dist, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dist.nbytes / 4
 
 
 def test_ball_scaling_and_tolerance():

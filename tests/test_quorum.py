@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepclust.geometry import Ball, PointSet, spread
+from sepclust.geometry import Ball, PointSet, pairwise_distances, spread
 from sepclust.oracle import exact_min_ball_alpha
 from sepclust.quorum import (
+    _quorum_steps,
     cover_depth,
     epochs,
     max_epoch_depth,
@@ -60,6 +61,29 @@ def test_members_partition_and_in_ball():
             assert Ball(ps.coords[c], r).contains(ps.coords[m]).all()
 
 
+def test_quorum_steps_are_full_and_quorum_clustering_adds_the_remainder():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 12, 30):
+        ps = PointSet(rng.random((n, 2)))
+        dist = pairwise_distances(ps.coords)
+        for gamma in range(1, n + 3):
+            steps = _quorum_steps(dist, gamma)
+            assert len(steps) == n // gamma
+            assert all(m.size == gamma for m in steps.members)
+            if gamma > n:
+                continue
+            qc = quorum_clustering(ps, gamma)
+            assert len(qc) == len(steps) + (n % gamma != 0)
+            assert np.array_equal(qc.centers[: len(steps)], steps.centers)
+            assert np.array_equal(qc.radii[: len(steps)], steps.radii)
+            if n % gamma:
+                left = np.setdiff1d(np.arange(n), np.concatenate(steps.members))
+                assert np.array_equal(qc.members[-1], left)
+                far = dist[np.ix_(left, left)].max(axis=1)
+                assert qc.centers[-1] == left[np.argmin(far)]
+                assert qc.radii[-1] == far.min()
+
+
 def test_epochs_examples():
     assert epochs([1, 2, 3, 5, 21]) == ((0, 3), (3, 4), (4, 5))
     assert epochs([1, 1, 1]) == ((0, 3),)
@@ -81,6 +105,10 @@ def test_epochs_partition_properties(radii):
     starts = [s for s, _ in part]
     for prev, cur in zip(starts, starts[1:]):
         assert r[cur] > 4 * r[prev]
+    # the partition of a prefix is the partition, clipped to the prefix
+    for f in range(1, len(radii) + 1):
+        clipped = tuple((s, min(e, f)) for s, e in part if s < f)
+        assert epochs(r[:f]) == clipped
 
 
 def test_cover_depth_examples():
