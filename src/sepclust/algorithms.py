@@ -47,8 +47,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    REL_TOL, Ball, DenseBalls, PointSet, _distances_to, closest_pair,
-    pairwise_distances, spread,
+    REL_TOL, Ball, DenseBalls, PointSet, _block_rows, _distances_to,
+    closest_pair, pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
 from .separation import Clustering, SeparationKind, check_separation, check_sigma
@@ -264,13 +264,19 @@ def _verified(obj, cfg: ExtractionConfig, kind: SeparationKind, run: Callable) -
 
     def formula(c: float) -> int:
         try:
-            denom = k * sigma ** points.dim
+            sd = sigma ** points.dim
         except OverflowError:  # sigma^d beyond a double: the formula is below one
             return 1
+        log_phi = 1.0
         if kind is not SeparationKind.SEMI:
             phi = spread(points) if points.n >= 2 else 1.0
-            denom *= max(1.0, math.log2(phi))
-        q = min(c * m / denom if denom else math.inf, points.n + 1)
+            log_phi = max(1.0, math.log2(phi))
+        denom = k * sd * log_phi
+        q = c * m / denom if denom else math.inf
+        if math.isnan(q):  # c * m and denom both overflow: divide the mantissas
+            (fc, ec), (fs, es) = math.frexp(c), math.frexp(sd)
+            q = math.ldexp(fc * m / (k * fs * log_phi), ec - es)
+        q = min(q, points.n + 1)
         return math.ceil(q) if kind is SeparationKind.SEMI else math.floor(q)
 
     alpha, (clusters, balls) = _resolve_alpha(
@@ -403,9 +409,13 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     strong separation, and every cluster holds exactly alpha points.
     """
     points, dist = _plain_front(points, cfg)
-    # The diagonal is exactly zero, so any further zero is a duplicate.
-    if np.count_nonzero(dist == 0.0) > points.n:
-        raise ValueError("spread undefined: point set contains duplicates")
+    # Each row holds exactly one zero on the diagonal, so a row block that
+    # holds more zeros than rows holds a duplicate.
+    step = _block_rows(points.n)
+    for s in range(0, points.n, step):
+        block = dist[s : s + step]
+        if np.count_nonzero(block == 0.0) > block.shape[0]:
+            raise ValueError("spread undefined: point set contains duplicates")
     coords, k, sigma = points.coords, cfg.k, float(cfg.sigma)
 
     def run(alpha: int):

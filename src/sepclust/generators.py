@@ -104,8 +104,11 @@ def gen_exponential_ring_grid(n: int, spread_target: float, dim: int) -> PointSe
     Level 1 holds the n lexicographically smallest lattice points of the ring
     [-3,3]^dim minus (-2,2)^dim at the largest cell size admitting n of them;
     level i+1 is level i divided by 3 (exactly, by construction). The number
-    of levels is ceil(log2(spread_target)). Total spread stays polynomial in
-    the target (at most spread_target**3 for targets >= 64 at dim <= 3).
+    of levels is ceil(log2(spread_target)), so the total spread grows about
+    as spread_target**log2(3). A target whose deepest cell size squared
+    would fall below the smallest normal double raises ValueError (from
+    about 1e97 on): such squared gaps lose precision, and from about 1e102
+    on they underflow, so points would be at zero kernel distance.
     """
     n, dim = int(n), int(dim)
     spread_target = float(spread_target)
@@ -121,6 +124,14 @@ def gen_exponential_ring_grid(n: int, spread_target: float, dim: int) -> PointSe
         raise ValueError(
             "construction needs a denser ring: lattice fills the cube with "
             f"{a**dim} > 6n = {6 * n} points; increase n"
+        )
+    # Distinct points differ by at least one deepest-level cell in some
+    # coordinate. Its square must stay a normal double (>= 2^-1022): below,
+    # the squared gaps lose precision and then underflow to zero distance.
+    if 2 * (math.log2(num / den) - (levels - 1) * math.log2(3)) < -1022:
+        raise ValueError(
+            f"spread target {spread_target:g} needs {levels} levels, whose "
+            "squared gaps underflow a double"
         )
     half = (a - 1) // 2
     hole_half = (b_hole - 1) // 2

@@ -27,7 +27,14 @@ import numpy as np
 # floating-point drift so constructions sitting exactly on a boundary verify.
 REL_TOL = 1e-9
 
-_BLOCK = 256  # row block size for pairwise scans; keeps temporaries small
+# Float64 elements per block buffer of an n^2 scan (512 KB), so that the
+# kernel's passes over a block stay in a core's L2 cache.
+_BLOCK = 1 << 16
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block for a scan against ``m`` columns under the budget."""
+    return max(1, _BLOCK // max(m, 1))
 
 
 def _coerce_coords(coords) -> np.ndarray:
@@ -148,13 +155,15 @@ def _sq_blocks(a: np.ndarray, b: np.ndarray, out=None):
     """
     n, m = a.shape[0], b.shape[0]
     bt = np.ascontiguousarray(b.T)
-    rows = min(_BLOCK, n)
-    tmp = np.empty((rows, m))
-    buf = np.empty((rows, m)) if out is None else None
-    for s in range(0, n, _BLOCK):
-        e = min(s + _BLOCK, n)
-        block = buf[: e - s] if out is None else out[s:e]
-        yield s, _sq_into(a[s:e], bt, block, tmp[: e - s])
+    step = _block_rows(m)
+    # Both buffers in one allocation: glibc's malloc keeps it between scans,
+    # where two separate buffers went back to the system and their pages
+    # were faulted in again on every call.
+    work = np.empty((2 if out is None else 1, min(step, n), m))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        block = work[1, : e - s] if out is None else out[s:e]
+        yield s, _sq_into(a[s:e], bt, block, work[0, : e - s])
 
 
 def pairwise_distances(a, b=None) -> np.ndarray:
@@ -251,10 +260,9 @@ class DenseBalls:
         if n >= self.alpha:
             a = self.alpha - 1
             start = np.empty(n)
-            for s in range(0, n, _BLOCK):
-                start[s : s + _BLOCK] = np.partition(
-                    dist[s : s + _BLOCK], a, axis=1
-                )[:, a]
+            step = _block_rows(n)
+            for s in range(0, n, step):
+                start[s : s + step] = np.partition(dist[s : s + step], a, axis=1)[:, a]
             self._heap = list(zip(start.tolist(), range(n), [0] * n))
             heapq.heapify(self._heap)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import ColoredInstance
-from .geometry import REL_TOL, PointSet, pairwise_distances
+from .geometry import REL_TOL, PointSet, _block_rows, pairwise_distances
 from .separation import SeparationKind
 
 
@@ -99,10 +99,11 @@ def exact_min_ball_all(ps: PointSet, budget: OracleBudget | None = None) -> np.n
         return out
     centers, radii = _candidate_balls(ps.coords)
     counts = np.empty(centers.shape[0], dtype=int)
-    for s in range(0, centers.shape[0], 2048):
-        d_blk = pairwise_distances(centers[s : s + 2048], ps.coords)
-        counts[s : s + 2048] = (
-            d_blk <= radii[s : s + 2048, None] * (1.0 + REL_TOL)
+    step = _block_rows(n)
+    for s in range(0, centers.shape[0], step):
+        d_blk = pairwise_distances(centers[s : s + step], ps.coords)
+        counts[s : s + step] = (
+            d_blk <= radii[s : s + step, None] * (1.0 + REL_TOL)
         ).sum(axis=1)
     by_radius = np.argsort(radii, kind="stable")
     run_max = np.maximum.accumulate(counts[by_radius])

@@ -1,9 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sepclust import algorithms, geometry
 from sepclust.algorithms import (
     ColorExhausted,
     ColoredInstance,
@@ -221,6 +223,31 @@ def test_c_override_float_edges_fail_like_a_huge_c():
             assert str(err.value) == str(exc(0)), fn.__name__
 
 
+@pytest.mark.parametrize("fn", [semi_separated_k, strong_separated_k])
+def test_c_override_quotient_exact_when_both_sides_overflow(monkeypatch, fn):
+    # c * m = 4e309 and k * sigma = 2.4e308 both overflow a double, whose
+    # quotient inf / inf was NaN; alpha is the exact quotient's ceiling
+    # (semi) or floor (strong). At sigma = 8e307 no second ball is
+    # separated from the first, so both then raise InsufficientPoints.
+    ps = PointSet(np.arange(40.0))
+    cfg = ExtractionConfig(sigma=8e307, k=3, c_override=1e308)
+    seen = []
+    resolve = algorithms._resolve_alpha
+
+    def spy(cfg, run, cap, formula):
+        seen.append(formula(cfg.c_override))
+        return resolve(cfg, run, cap, formula)
+
+    monkeypatch.setattr(algorithms, "_resolve_alpha", spy)
+    with pytest.raises(InsufficientPoints):
+        fn(ps, cfg)
+    q = Fraction(1e308) * 40 / (3 * Fraction(8e307))
+    if fn is semi_separated_k:
+        assert seen == [math.ceil(q)] == [17]
+    else:
+        assert seen == [math.floor(q / Fraction(math.log2(spread(ps))))] == [3]
+
+
 # ------------------------------------------------------- semi colored
 
 
@@ -323,6 +350,16 @@ def test_strong_duplicates_rejected():
         strong_separated_k(
             PointSet([1.0, 1.0, 2.0]), ExtractionConfig(sigma=1.0, k=2)
         )
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_strong_duplicate_check_counts_zeros_per_row_block(monkeypatch, rows):
+    # Points 0 and 4 repeat, and sit in different row blocks at every budget.
+    monkeypatch.setattr(geometry, "_BLOCK", rows * 5)
+    cfg = ExtractionConfig(sigma=1.0, k=2, alpha=1)
+    with pytest.raises(ValueError, match="point set contains duplicates"):
+        strong_separated_k(PointSet([1.0, 2.0, 4.0, 8.0, 1.0]), cfg)
+    assert strong_separated_k(PointSet([1.0, 2.0, 4.0, 8.0, 16.0]), cfg).alpha == 1
 
 
 # ------------------------------------------------------- well colored

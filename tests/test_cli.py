@@ -61,6 +61,14 @@ def test_generate_expgrid_non_finite_spread_exit_2(capsys, spread):
     assert f"spread target must be finite, got {spread}" in err
 
 
+@pytest.mark.parametrize("spread, levels", [("1e308", 1024), ("1e160", 532)])
+def test_generate_expgrid_underflowing_spread_exit_2(capsys, spread, levels):
+    # The deepest levels' squared gaps underflow: no file of duplicates.
+    code, out, err = run(capsys, "generate", "expgrid", "--n", "4", "--spread", spread, "--dim", "2")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and f"needs {levels} levels" in err
+
+
 def test_generate_out_of_memory_exit_2(capsys, monkeypatch):
     def too_large(n, dim, seed):
         raise MemoryError(f"cannot allocate {n} x {dim} points")

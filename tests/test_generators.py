@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ def test_ring_grid_subsample_oracle_small_quality():
 def test_ring_grid_validation():
     with pytest.raises(ValueError):
         gen_exponential_ring_grid(10, 5.0, 2)  # target below n
+
+
+def test_ring_grid_rejects_targets_whose_levels_underflow():
+    # At 1e96 every squared gap is still a normal double. At 1e100 the
+    # deepest ones would be subnormal, and from about 1e102 on they underflow
+    # to zero, which made strong reject the output as holding duplicates.
+    ps = gen_exponential_ring_grid(4, 1e96, 2)
+    assert closest_pair(ps) ** 2 >= sys.float_info.min
+    for target in (1e100, 1e160, 1e308):
+        with pytest.raises(ValueError, match="squared gaps underflow"):
+            gen_exponential_ring_grid(4, target, 2)
 
 
 # ------------------------------------------------------------ copies

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sepclust
+from sepclust import geometry
 from sepclust.geometry import (
     Ball,
     DenseBalls,
@@ -22,6 +23,7 @@ from sepclust.geometry import (
 )
 from sepclust.generators import gen_exponential_line, gen_grid
 from sepclust.oracle import exact_min_ball_all
+from sepclust.quorum import max_epoch_depth, quorum_clustering
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
@@ -177,8 +179,9 @@ def test_approx_min_ball_two_approximation_sweep():
 
 
 def test_dense_balls_seed_holds_one_row_block():
-    # The seed radii are partitioned block by block into one vector; keeping
-    # every partitioned block alive would cost a second n x n matrix.
+    # The seed radii are partitioned block by block into one vector, and a
+    # block's partitioned copy holds at most _BLOCK floats whatever n is; the
+    # seed heap of 2048 entries fits in a second such budget.
     dist = pairwise_distances(np.random.default_rng(4).random((2048, 2)))
     tracemalloc.start()
     try:
@@ -186,7 +189,7 @@ def test_dense_balls_seed_holds_one_row_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < dist.nbytes / 4
+    assert peak < 2 * 8 * geometry._BLOCK
 
 
 def test_ball_scaling_and_tolerance():
@@ -225,8 +228,10 @@ def _wide_points(rng, n, d):
     return rng.standard_normal((n, d)) * 2.0 ** rng.integers(-150, 151, (n, d))
 
 
-# Row counts on both sides of the 256-row block boundary.
-_ROWS = (1, 255, 256, 257, 513)
+# Point counts on both sides of the largest square scan that fits in one
+# block: an n x n scan is one block exactly when n * n <= _BLOCK.
+_SIDE = math.isqrt(geometry._BLOCK)
+_ROWS = (1, _SIDE - 1, _SIDE, _SIDE + 1, 2 * _SIDE + 1)
 
 
 @pytest.mark.parametrize("n", _ROWS)
@@ -270,6 +275,32 @@ def test_reductions_and_membership_agree_with_matrix(d):
     for i, j in [(0, 1), (17, 255), (299, 256)]:
         ball = Ball(a[i], full[i, j])
         assert np.array_equal(ball.contains(a, rel_tol=0.0), full[i] <= full[i, j])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_budget_carries_no_meaning(monkeypatch, d):
+    # At the default budget a 60-point scan is one block; budgets of 1, 3
+    # and 7 rows per block split every scan and change no bit of any result.
+    rng = np.random.default_rng(d)
+    a, b = _wide_points(rng, 60, d), _wide_points(rng, 23, d)
+    ps, few = PointSet(rng.random((60, d))), PointSet(rng.random((12, d)))
+
+    def results():
+        dist = pairwise_distances(a)
+        qc = quorum_clustering(ps, 4)
+        return [
+            dist, pairwise_distances(a, b), pairwise_distances(b, a),
+            closest_pair(a), diameter(a), set_distance(a, b), set_distance(b, a),
+            DenseBalls(dist, 5)._heap, qc.centers, qc.radii, max_epoch_depth(qc, ps),
+            exact_min_ball_all(few),
+        ]
+
+    want = results()
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(geometry, "_BLOCK", rows * 60)
+        assert geometry._block_rows(60) == rows
+        got = results()
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), rows
 
 
 def test_every_distance_goes_through_the_kernel():
