@@ -186,7 +186,9 @@ def _search_max_alpha(run: Callable, cap: int):
     and either alpha + 1 was probed infeasible or alpha equals ``cap``.
     Feasibility is not downward closed, so this need not be the largest
     feasible alpha. Alpha = 1 is probed first; if it fails, its error is
-    re-raised.
+    re-raised. That probe reads no row of a distance matrix to find its
+    balls: at alpha = 1 every ball is one point of radius 0, which
+    ``DenseBalls`` seeds and ``_quorum_steps`` returns in O(n).
     """
     cap = max(1, int(cap))
     results = {}

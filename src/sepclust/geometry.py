@@ -247,6 +247,11 @@ class DenseBalls:
     current stamp is exact and minimal (ties to the smallest index), whatever
     a caller removes. A stale entry is recomputed by partitioning the
     center's alive row; no row is ever sorted.
+
+    At alpha = 1 every candidate radius is the self distance, 0. The heap is
+    then seeded with zeros in O(n), without partitioning the matrix, and no
+    entry is ever recomputed: an alive center keeps radius 0 whatever is
+    removed.
     """
 
     def __init__(self, dist: np.ndarray, alpha: int):
@@ -257,7 +262,10 @@ class DenseBalls:
         self._live = np.ones(n, dtype=bool)
         self._stamp = 0
         self._heap = []
-        if n >= self.alpha:
+        if self.alpha == 1:
+            # Equal radii and ascending indices: already in heap order.
+            self._heap = [(0.0, i, 0) for i in range(n)]
+        elif n >= self.alpha:
             a = self.alpha - 1
             start = np.empty(n)
             step = _block_rows(n)
@@ -273,7 +281,7 @@ class DenseBalls:
             r, i, s = heap[0]
             if not live[i]:
                 heapq.heappop(heap)
-            elif s == stamp:
+            elif s == stamp or not a:
                 return i, r
             else:
                 row = self.dist[i][self.alive]

@@ -53,7 +53,18 @@ def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
     the center (ties by index). Steps run while at least gamma points
     survive, so every step holds exactly gamma members, fewer than gamma
     points are left, and there are no steps when n < gamma.
+
+    At gamma = 1 the steps are known in advance and built in O(n): step t is
+    point t alone, at radius 0.
     """
+    if gamma == 1:
+        # Every candidate radius is the self distance, 0.0, so ``smallest``
+        # returns the smallest alive index. That index comes first among its
+        # zero-distance ties (duplicates of it have larger indices), so
+        # ``nearest(center, 0)`` takes the center alone. Hence step t takes
+        # point t, for any input, duplicates included.
+        idx = np.arange(dist.shape[0])
+        return QuorumClustering(gamma, idx, np.zeros(idx.size), tuple(idx[:, None]))
     balls = DenseBalls(dist, gamma)
     centers, radii, members = [], [], []
     while balls.alive.size >= gamma:

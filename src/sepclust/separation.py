@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,10 @@ class Clustering:
     (a ValueError otherwise).
     ``balls`` and ``alpha`` carry the extraction certificate when an
     algorithm produced the clustering.
+
+    The pair margins are computed once per object, on first use by
+    ``pair_margins`` or ``check_separation``; a clustering rebuilt from its
+    payload is a new object and is checked afresh.
     """
 
     points: PointSet
@@ -108,6 +113,10 @@ class Clustering:
     def sizes(self) -> list:
         return [int(c.size) for c in self.clusters]
 
+    @cached_property
+    def _margins(self) -> tuple:
+        return _margin_rows(self)
+
 
 def cluster_diameters(clustering: Clustering) -> np.ndarray:
     coords = clustering.points.coords
@@ -119,11 +128,17 @@ def pair_margins(clustering: Clustering) -> list:
 
     The required separation is ``sigma * D`` with D chosen by the clustering's
     kind; the verdict allows a relative slack of ``REL_TOL`` so constructions
-    sitting exactly on the boundary verify.
+    sitting exactly on the boundary verify. The rows are copies of the
+    clustering's cached margins.
     """
+    return [dict(row) for row in clustering._margins]
+
+
+def _margin_rows(clustering: Clustering) -> tuple:
+    """The rows of ``pair_margins``, computed from the clustering."""
     coords = clustering.points.coords
-    diams = cluster_diameters(clustering)
-    d_strong = float(diams.max())
+    diams = cluster_diameters(clustering).tolist()
+    d_strong = max(diams)
     sigma = clustering.sigma
     kind = clustering.kind
     rows = []
@@ -138,26 +153,28 @@ def pair_margins(clustering: Clustering) -> list:
                 term = max(diams[i], diams[j])
             else:
                 term = min(diams[i], diams[j])
+            # Python floats: a quotient beyond a double is inf, without the
+            # overflow warning that numpy scalars print.
             required = sigma * term
             ok = dist >= required * (1.0 - REL_TOL)
-            ratio = float(dist / required) if required > 0.0 else float("inf")
+            ratio = dist / required if required > 0.0 else float("inf")
             rows.append(
                 {
                     "i": i,
                     "j": j,
-                    "distance": float(dist),
-                    "diameter_term": float(term),
-                    "required": float(required),
+                    "distance": dist,
+                    "diameter_term": term,
+                    "required": required,
                     "ratio": ratio,
-                    "ok": bool(ok),
+                    "ok": ok,
                 }
             )
-    return rows
+    return tuple(rows)
 
 
 def check_separation(clustering: Clustering) -> bool:
     """True iff every cluster pair meets the declared separation."""
-    return all(row["ok"] for row in pair_margins(clustering))
+    return all(row["ok"] for row in clustering._margins)
 
 
 def quality(clustering: Clustering) -> int:

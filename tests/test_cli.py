@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sepclust import cli
+from sepclust import cli, separation
 from sepclust.cli import bench_rows, main
 
 
@@ -152,24 +152,65 @@ def test_cluster_sigma_out_of_range_exit_2(capsys, tmp_path, algo, sigma):
 
 @pytest.mark.parametrize(
     "algo, generator",
-    [("well-colored", ["threecolor", "--n", "5"]), ("strong", ["expline", "--n", "24"])],
+    [
+        ("well-colored", ["threecolor", "--n", "5"]),
+        ("strong", ["expline", "--n", "24"]),
+        ("semi", ["random", "--n", "10", "--dim", "2", "--seed", "1"]),
+        ("semi-colored", ["threecolor", "--n", "5"]),
+    ],
 )
 def test_cluster_huge_sigma_writes_no_warning(capsys, tmp_path, algo, generator):
     # At the largest valid sigma, 2 sigma r overflows to inf inside the
-    # selector; that drops the pair as it should and must print nothing.
+    # selector; that drops the pair as it should and must print nothing. At a
+    # subnormal sigma the distance over the required separation overflows to
+    # an infinite ratio, which verify prints, also without a warning.
     # A fresh interpreter with warnings shown sees what a shell user would.
     pts = tmp_path / "p.txt"
     run(capsys, "generate", *generator, "--out", str(pts))
+    calls = []
+    for sigma in ("8.98e307", "1e-310"):
+        out = str(tmp_path / f"c{sigma}.json")
+        calls.append(["cluster", "--algo", algo, "--k", "3", "--sigma", sigma,
+                      "--in", str(pts), "--out", out])
+        calls.append(["verify", "--points", str(pts), "--clusters", out])
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from sepclust.cli import main; sys.exit(main())",
-         "cluster", "--algo", algo, "--k", "3", "--sigma", "8.98e307", "--in", str(pts),
-         "--out", str(tmp_path / "c.json")],
+        [sys.executable, "-c",
+         "import json, sys; from sepclust.cli import main; "
+         "sys.exit(max([main(argv) for argv in json.loads(sys.argv[1])]))",
+         json.dumps(calls)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0 and proc.stderr == ""
-    assert json.loads((tmp_path / "c.json").read_text())["verified"] is True
+    assert proc.stdout.count("PASS:") == 2
+    for sigma in ("8.98e307", "1e-310"):
+        assert json.loads((tmp_path / f"c{sigma}.json").read_text())["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "algo, generator",
+    [
+        ("semi", ["random", "--n", "30", "--dim", "2", "--seed", "1"]),
+        ("strong", ["random", "--n", "30", "--dim", "2", "--seed", "1"]),
+        ("semi-colored", ["threecolor", "--n", "5"]),
+        ("well-colored", ["threecolor", "--n", "5"]),
+    ],
+)
+def test_one_margin_computation_per_clustering(capsys, tmp_path, monkeypatch, algo, generator):
+    # cluster self-checks and writes "verified" from one computation; verify
+    # rebuilds the clustering from the file and checks it afresh
+    computed = []
+    rows = separation._margin_rows
+    monkeypatch.setattr(separation, "_margin_rows", lambda c: computed.append(c) or rows(c))
+    pts, out = str(tmp_path / "p.txt"), str(tmp_path / "c.json")
+    run(capsys, "generate", *generator, "--out", pts)
+    code, _, _ = run(capsys, "cluster", "--algo", algo, "--k", "3", "--sigma", "1",
+                     "--in", pts, "--out", out)
+    assert code == 0 and len(computed) == 1
+    code, stdout, _ = run(capsys, "verify", "--points", pts, "--clusters", out)
+    assert code == 0 and "PASS" in stdout
+    assert len(computed) == 2 and computed[1] is not computed[0]
 
 
 def test_cluster_infeasible_exit_3(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import heapq
 import math
 import tracemalloc
 from pathlib import Path
@@ -190,6 +191,43 @@ def test_dense_balls_seed_holds_one_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * geometry._BLOCK
+
+
+def _alpha_one_inputs():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        coords = rng.random((30, d))
+        coords[20:] = coords[3]  # duplicate block
+        yield coords
+    yield gen_grid(6, 2).coords
+    yield gen_exponential_line(24).coords
+
+
+def test_dense_balls_alpha_one_heap_is_the_rank_zero_seed(monkeypatch):
+    for coords in _alpha_one_inputs():
+        dist = pairwise_distances(coords)
+        seed = np.partition(dist, 0, axis=1)[:, 0]
+        expected = list(zip(seed.tolist(), range(len(coords)), [0] * len(coords)))
+        heapq.heapify(expected)
+        with monkeypatch.context() as m:
+            m.setattr(np, "partition", None)  # the alpha = 1 seed reads no row
+            balls = DenseBalls(dist, 1)
+        assert balls._heap == expected
+        # removals never lift a radius above 0: the pick is the smallest alive index
+        rng = np.random.default_rng(len(coords))
+        while balls.alive.size:
+            assert balls.smallest() == (int(balls.alive[0]), 0.0)
+            assert balls.nearest(int(balls.alive[0]), 0.0).tolist() == [balls.alive[0]]
+            balls.remove(rng.choice(balls.alive, size=min(3, balls.alive.size), replace=False))
+
+
+def test_approx_min_ball_alpha_one_unchanged():
+    # the rank-0 partition seed's argmin, as the engine computed it before
+    for coords in _alpha_one_inputs():
+        seed = np.partition(pairwise_distances(coords), 0, axis=1)[:, 0]
+        i = int(np.argmin(seed))
+        ball = approx_min_ball_alpha(PointSet(coords), 1)
+        assert np.array_equal(ball.center, coords[i]) and ball.radius == seed[i] == 0.0
 
 
 def test_ball_scaling_and_tolerance():

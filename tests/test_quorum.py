@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from sepclust.quorum import (
     max_epoch_depth,
     quorum_clustering,
 )
-from sepclust.generators import gen_grid, gen_random_uniform
+from sepclust.generators import gen_exponential_line, gen_grid, gen_random_uniform
 
 
 def test_two_tight_pairs():
@@ -234,3 +235,74 @@ def test_heap_engine_matches_naive_recomputation():
             for t, (_, r, members) in enumerate(ref):
                 assert qc.radii[t] == r
                 assert np.array_equal(qc.members[t], members)
+
+
+def _engine_loop_steps(dist, gamma):
+    # inline copy of the lazy-heap engine loop, partition seed and stale
+    # recomputes included, as _quorum_steps ran it for every gamma
+    n = dist.shape[0]
+    live = np.ones(n, bool)
+    alive = np.arange(n)
+    stamp = 0
+    a = gamma - 1
+    start = np.partition(dist, a, axis=1)[:, a] if n >= gamma else np.empty(0)
+    heap = list(zip(start.tolist(), range(start.size), [0] * start.size))
+    heapq.heapify(heap)
+    centers, radii, members = [], [], []
+    while alive.size >= gamma:
+        while True:
+            r, i, s = heap[0]
+            if not live[i]:
+                heapq.heappop(heap)
+            elif s == stamp:
+                break
+            else:
+                row = dist[i][alive]
+                row.partition(a)
+                heapq.heapreplace(heap, (float(row[a]), i, stamp))
+        d = dist[i][alive]
+        take = d <= r
+        if np.count_nonzero(take) > gamma:
+            take = d < r
+            ties = np.flatnonzero(d == r)
+            take[ties[: gamma - np.count_nonzero(take)]] = True
+        taken = alive[take]
+        live[taken] = False
+        alive = live.nonzero()[0]
+        stamp += 1
+        centers.append(i)
+        radii.append(r)
+        members.append(taken)
+    return np.array(centers, dtype=int), np.array(radii), tuple(members)
+
+
+def _closed_form_inputs():
+    rng = np.random.default_rng(77)
+    for trial in range(12):
+        n = int(rng.integers(1, 40))
+        coords = rng.random((n, 1 + trial % 3)) * 10
+        if trial % 2 == 0:
+            coords[n // 2 :] = coords[0]  # duplicate block
+        yield coords
+    yield gen_grid(6, 2).coords
+    yield gen_exponential_line(24).coords
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_quorum_steps_match_the_engine_loop(gamma):
+    # gamma = 1 is answered in closed form; gamma >= 2 runs DenseBalls
+    for coords in _closed_form_inputs():
+        dist = pairwise_distances(coords)
+        qc = _quorum_steps(dist, gamma)
+        centers, radii, members = _engine_loop_steps(dist, gamma)
+        assert qc.gamma == gamma
+        assert qc.centers.dtype == centers.dtype and np.array_equal(qc.centers, centers)
+        assert qc.radii.dtype == radii.dtype and np.array_equal(qc.radii, radii)
+        assert len(qc.members) == len(members)
+        for got, want in zip(qc.members, members):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_quorum_steps_gamma_one_on_empty_matrix():
+    qc = _quorum_steps(np.empty((0, 0)), 1)
+    assert len(qc) == 0 and qc.centers.dtype == int and qc.radii.dtype == float
