@@ -52,7 +52,6 @@ from .oracle import (
 )
 from .quorum import (
     QuorumClustering,
-    cover_depth,
     epochs,
     max_epoch_depth,
     quorum_clustering,
@@ -62,57 +61,7 @@ from .separation import (
     SeparationKind,
     check_separation,
     cluster_diameters,
-    is_useless,
     pair_margins,
     quality,
 )
 
-__all__ = [
-    "__version__",
-    "Ball",
-    "Clustering",
-    "ColorExhausted",
-    "ColoredInstance",
-    "EmbeddingFailed",
-    "ExtractionConfig",
-    "GeneratorSpec",
-    "InsufficientPoints",
-    "OracleBudget",
-    "OracleBudgetExceeded",
-    "PointSet",
-    "QuorumClustering",
-    "REL_TOL",
-    "SeparationKind",
-    "VerificationFailed",
-    "approx_min_ball_alpha",
-    "best_separated_pair",
-    "check_separation",
-    "check_three_color_hopeless",
-    "closest_pair",
-    "cluster_diameters",
-    "cover_depth",
-    "diameter",
-    "distance",
-    "epochs",
-    "exact_min_ball_all",
-    "exact_min_ball_alpha",
-    "gen_exponential_line",
-    "gen_exponential_ring_grid",
-    "gen_grid",
-    "gen_k_copies",
-    "gen_near_uniform_highdim",
-    "gen_random_uniform",
-    "gen_three_color_line",
-    "is_useless",
-    "max_epoch_depth",
-    "pair_margins",
-    "pairwise_distances",
-    "quality",
-    "quorum_clustering",
-    "semi_separated_k",
-    "semi_separated_k_colored",
-    "set_distance",
-    "spread",
-    "strong_separated_k",
-    "well_separated_k_colored",
-]

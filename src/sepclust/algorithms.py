@@ -110,9 +110,6 @@ class ColoredInstance:
     def color_indices(self, color: int) -> np.ndarray:
         return np.flatnonzero(self.colors == color)
 
-    def subset(self, color: int) -> PointSet:
-        return PointSet(self.points.coords[self.color_indices(color)])
-
     @classmethod
     def from_sets(cls, sets) -> "ColoredInstance":
         pss = [s if isinstance(s, PointSet) else PointSet(s) for s in sets]
@@ -156,23 +153,6 @@ class ExtractionConfig:
             raise ValueError(f"c_override must be finite and positive, got {c!r}")
         if self.alpha is not None and self.c_override is not None:
             raise ValueError("alpha and c_override are mutually exclusive")
-
-
-def k_semi(dim: int, sigma: float) -> int:
-    """Covering constant for the semi algorithm's feasibility bound.
-
-    A ball of radius (2 sigma + 2) r is coverable by this many cells of
-    diameter at most r/2, each holding fewer than alpha points. Documented
-    bound only; never used in control flow (auto mode supersedes it).
-    """
-    return int(math.ceil(4.0 * math.sqrt(dim) * (2.0 * sigma + 2.0))) ** int(dim)
-
-
-# Quality-bound constant for the strong algorithm at d=2, calibrated
-# empirically on the benchmark families (the covering-times-packing constant
-# from first principles is orders of magnitude too pessimistic at desk scale
-# and would make the bound vacuous). Documented bound only.
-K_STRONG_2 = 8
 
 
 _INFEASIBLE = (InsufficientPoints, ColorExhausted)

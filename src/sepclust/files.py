@@ -88,11 +88,6 @@ def parse_points(text: str):
     return ColoredInstance(PointSet(coords), colors)
 
 
-def write_points(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(points_text(obj))
-
-
 def read_points(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_points(fh.read())

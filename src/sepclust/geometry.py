@@ -76,9 +76,6 @@ class PointSet:
     def __len__(self) -> int:
         return self.n
 
-    def subset(self, indices) -> "PointSet":
-        return PointSet(self.coords[np.asarray(indices, dtype=int)])
-
 
 @dataclass(frozen=True, eq=False)
 class Ball:
@@ -100,10 +97,6 @@ class Ball:
     @property
     def dim(self) -> int:
         return self.center.shape[0]
-
-    def scaled(self, factor: float) -> "Ball":
-        """Same center, radius multiplied by ``factor``."""
-        return Ball(self.center, self.radius * float(factor))
 
     def contains(self, points, rel_tol: float = REL_TOL):
         """Membership test with relative tolerance on the radius.

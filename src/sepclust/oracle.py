@@ -15,7 +15,7 @@ import numpy as np
 
 from .algorithms import ColoredInstance
 from .geometry import REL_TOL, PointSet, _block_rows, pairwise_distances
-from .separation import SeparationKind
+from .separation import SeparationKind, check_sigma
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -138,8 +138,10 @@ def best_separated_pair(
     separation inequality are pruned (diameters only grow and the cross
     distance only shrinks as points are added, so violation is permanent),
     as are branches that cannot beat the incumbent; the first maximizer in
-    enumeration order is returned.
+    enumeration order is returned. A sigma that fails ``check_sigma`` raises
+    ValueError.
     """
+    s = check_sigma(sigma)
     budget = budget or OracleBudget()
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
@@ -153,7 +155,6 @@ def best_separated_pair(
     if not isinstance(kind, SeparationKind):
         kind = SeparationKind.parse(kind)
     semi = kind is SeparationKind.SEMI
-    s = float(sigma)
     slack = 1.0 - REL_TOL
     rows = pairwise_distances(ps.coords).tolist()
     best_q = 0
@@ -215,9 +216,10 @@ def check_three_color_hopeless(inst: ColoredInstance, sigma: float) -> bool:
     """Verify the two facts that force quality one for strongly separated
     colorful triples on the three-color line: the minimum gap inside class 2
     is at least n, and the diameter of classes 0 and 1 together is at most
-    2n. Requires sigma >= 3 (below that the facts do not force anything).
+    2n. Requires a sigma that passes ``check_sigma`` and is >= 3 (below 3 the
+    facts do not force anything).
     """
-    if float(sigma) < 3.0:
+    if check_sigma(sigma) < 3.0:
         raise ValueError("the hopelessness argument needs sigma >= 3")
     if inst.k != 3 or inst.points.dim != 1:
         raise ValueError("expected a three-color instance on the line")

@@ -125,16 +125,6 @@ def epochs(radii) -> tuple:
     return tuple(ranges)
 
 
-def cover_depth(balls, point) -> int:
-    """Number of balls containing the point (with radius tolerance)."""
-    pt = np.asarray(point, dtype=float).ravel()
-    count = 0
-    for b in balls:
-        if b.contains(pt):
-            count += 1
-    return count
-
-
 def max_epoch_depth(qc: QuorumClustering, ps: PointSet) -> int:
     """Max over epochs and input points of the point's depth in that epoch."""
     coords = ps.coords

@@ -180,8 +180,3 @@ def check_separation(clustering: Clustering) -> bool:
 def quality(clustering: Clustering) -> int:
     """Size of the smallest cluster."""
     return min(clustering.sizes)
-
-
-def is_useless(clustering: Clustering) -> bool:
-    """True iff some cluster is a singleton (quality one)."""
-    return quality(clustering) == 1

@@ -14,7 +14,7 @@ import pytest
 
 from sepclust import algorithms, cli
 from sepclust.algorithms import ColoredInstance, ExtractionConfig
-from sepclust.files import write_points
+from sepclust.files import points_text
 from sepclust.generators import gen_random_uniform
 
 # Imported without writing bytecode, so perfbench/ is left as it was.
@@ -69,7 +69,7 @@ def test_tracer_sees_through_the_cached_parser(tmp_path, prebuilt):
     # must still reach the names the tracer swaps in, whether the parser was
     # first built inside the traced block or before it.
     pts = tmp_path / "p.txt"
-    write_points(pts, gen_random_uniform(30, 2, 0))
+    pts.write_text(points_text(gen_random_uniform(30, 2, 0)))
     argv = ["cluster", "--algo", "strong", "--k", "2", "--sigma", "1",
             "--in", str(pts), "--out", str(tmp_path / "c.json")]
     cli._build_parser.cache_clear()

@@ -357,6 +357,25 @@ def test_oracle_three_color(capsys, tmp_path):
     assert code == 0 and out.strip() == "hopeless true"
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1", "0", "1e308"])
+@pytest.mark.parametrize(
+    "oracle, extra, gen",
+    [
+        ("best-pair", ["--kind", "strong"], ["random", "--n", "8", "--dim", "2", "--seed", "1"]),
+        ("three-color", [], ["threecolor", "--n", "4"]),
+    ],
+    ids=["best-pair", "three-color"],
+)
+def test_oracle_sigma_out_of_range_exit_2(capsys, tmp_path, oracle, extra, gen, sigma):
+    pts = tmp_path / "p.txt"
+    run(capsys, "generate", *gen, "--out", str(pts))
+    code, out, err = run(capsys, "oracle", oracle, "--in", str(pts), "--sigma", sigma, *extra)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: sigma must be positive with 2*sigma + 2 finite")
+
+
 def test_kcopies_roundtrip(capsys, tmp_path):
     base = tmp_path / "b.txt"
     out = tmp_path / "k.txt"

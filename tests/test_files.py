@@ -14,7 +14,6 @@ from sepclust.files import (
     parse_points,
     points_text,
     read_points,
-    write_points,
 )
 from sepclust.generators import gen_exponential_line, gen_random_uniform, gen_three_color_line
 from sepclust.geometry import PointSet
@@ -66,7 +65,7 @@ def test_parse_errors():
 def test_file_io(tmp_path):
     ps = gen_random_uniform(10, 2, 9)
     path = tmp_path / "pts.txt"
-    write_points(path, ps)
+    path.write_text(points_text(ps))
     assert np.array_equal(read_points(path).coords, ps.coords)
 
 

@@ -78,24 +78,28 @@ def test_exponential_line_limit():
 # -------------------------------------------------- three-color line
 
 
+def _color_coords(inst, color):
+    return inst.points.coords[inst.color_indices(color)].ravel()
+
+
 def test_three_color_line_n3():
     inst = gen_three_color_line(3)
-    assert inst.subset(0).coords.ravel().tolist() == [1.0, 2.0, 3.0]
-    assert inst.subset(1).coords.ravel().tolist() == [4.0, 5.0, 6.0]
-    assert inst.subset(2).coords.ravel().tolist() == [7.0, 10.0, 13.0]
+    assert _color_coords(inst, 0).tolist() == [1.0, 2.0, 3.0]
+    assert _color_coords(inst, 1).tolist() == [4.0, 5.0, 6.0]
+    assert _color_coords(inst, 2).tolist() == [7.0, 10.0, 13.0]
 
 
 def test_three_color_line_n2():
-    assert gen_three_color_line(2).subset(2).coords.ravel().tolist() == [5.0, 7.0]
+    assert _color_coords(gen_three_color_line(2), 2).tolist() == [5.0, 7.0]
 
 
 def test_three_color_line_structural_facts():
     n = 20
     inst = gen_three_color_line(n)
-    third = np.sort(inst.subset(2).coords.ravel())
+    third = np.sort(_color_coords(inst, 2))
     assert np.diff(third).min() == n
     union12 = np.concatenate(
-        [inst.subset(0).coords.ravel(), inst.subset(1).coords.ravel()]
+        [_color_coords(inst, 0), _color_coords(inst, 1)]
     )
     assert union12.max() - union12.min() == 2 * n - 1
 
@@ -138,7 +142,7 @@ def test_ring_grid_subsample_oracle_small_quality():
     # brute-force best well 12d-separated pair on an 18-point subsample
     ps = gen_exponential_ring_grid(100, 100.0, 2)
     rng = np.random.default_rng(7)
-    sub = ps.subset(np.sort(rng.choice(ps.n, size=18, replace=False)))
+    sub = PointSet(ps.coords[np.sort(rng.choice(ps.n, size=18, replace=False))])
     q, _ = best_separated_pair(
         sub, 24.0, SeparationKind.WELL, OracleBudget(max_n_assignment=18)
     )

@@ -230,10 +230,8 @@ def test_approx_min_ball_alpha_one_unchanged():
         assert np.array_equal(ball.center, coords[i]) and ball.radius == seed[i] == 0.0
 
 
-def test_ball_scaling_and_tolerance():
+def test_ball_tolerance():
     b = Ball(np.array([1.0, 1.0]), 2.0)
-    s = b.scaled(3.0)
-    assert np.array_equal(s.center, b.center) and s.radius == 6.0
     edge = np.array([1.0, 3.0 + 2.0 * 5e-10])  # within relative tolerance
     assert b.contains(edge)
     with pytest.raises(ValueError):

@@ -199,3 +199,11 @@ def test_three_color_hopeless_perturbed_false():
 def test_three_color_hopeless_needs_sigma_three():
     with pytest.raises(ValueError):
         check_three_color_hopeless(gen_three_color_line(4), 2.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0, 0.0, 1e308])
+def test_oracles_reject_sigma_out_of_range(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        best_separated_pair(PointSet([0.0, 1.0, 5.0, 6.0]), sigma, SeparationKind.STRONG)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        check_three_color_hopeless(gen_three_color_line(4), sigma)

@@ -10,7 +10,6 @@ from sepclust.geometry import Ball, PointSet, pairwise_distances, spread
 from sepclust.oracle import exact_min_ball_alpha
 from sepclust.quorum import (
     _quorum_steps,
-    cover_depth,
     epochs,
     max_epoch_depth,
     quorum_clustering,
@@ -112,15 +111,6 @@ def test_epochs_partition_properties(radii):
         assert epochs(r[:f]) == clipped
 
 
-def test_cover_depth_examples():
-    b1 = Ball(np.array([0.0, 0.0]), 1.0)
-    b2 = Ball(np.array([10.0, 0.0]), 1.0)
-    assert cover_depth([b1, b2], [0.5, 0.0]) == 1
-    assert cover_depth([b1, b2], [5.0, 0.0]) == 0
-    nested = [Ball(np.zeros(2), r) for r in (1.0, 2.0, 3.0)]
-    assert cover_depth(nested, [0.0, 0.0]) == 3
-
-
 def test_epoch_radius_band_and_factor_64_on_full_steps():
     rng = np.random.default_rng(9)
     ps = PointSet(rng.random((120, 2)))
@@ -157,7 +147,7 @@ def test_two_approximation_per_step_against_oracle():
     survivors = np.arange(ps.n)
     for t in range(len(qc)):
         g_eff = min(gamma, survivors.size)
-        rho = exact_min_ball_alpha(ps.subset(survivors), g_eff)
+        rho = exact_min_ball_alpha(PointSet(ps.coords[survivors]), g_eff)
         assert rho <= qc.radii[t] * (1 + 1e-9)
         assert qc.radii[t] <= 2 * rho * (1 + 1e-9)
         survivors = np.setdiff1d(survivors, qc.members[t])
@@ -175,7 +165,7 @@ def test_optimal_radii_monotone_over_steps():
     for members in qc.members:
         if survivors.size < gamma:
             break
-        rhos.append(exact_min_ball_alpha(ps.subset(survivors), gamma))
+        rhos.append(exact_min_ball_alpha(PointSet(ps.coords[survivors]), gamma))
         survivors = np.setdiff1d(survivors, members)
     assert all(a <= b * (1 + 1e-12) for a, b in zip(rhos, rhos[1:]))
 

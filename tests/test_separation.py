@@ -8,7 +8,6 @@ from sepclust.separation import (
     Clustering,
     SeparationKind,
     check_separation,
-    is_useless,
     pair_margins,
     quality,
 )
@@ -42,9 +41,8 @@ def test_quality_and_useless():
     pts = list(map(float, range(10)))
     c = make(pts, [[0, 1, 2], [3, 4, 5, 6, 7], [8, 9]], 1.0, SeparationKind.SEMI)
     assert quality(c) == 2
-    assert not is_useless(c)
     single = make(pts, [[0]], 1.0, SeparationKind.SEMI)
-    assert quality(single) == 1 and is_useless(single)
+    assert quality(single) == 1
     assert quality(make(pts, [list(range(7))], 1.0, SeparationKind.SEMI)) == 7
 
 
@@ -55,7 +53,7 @@ def test_exhaustive_best_pair_on_exponential_line_is_useless():
     witness = Clustering(
         points=ps, clusters=(c1, c2), sigma=1.0, kind=SeparationKind.STRONG
     )
-    assert check_separation(witness) and is_useless(witness)
+    assert check_separation(witness) and quality(witness) == 1
 
 
 def test_monotonicity_in_sigma():
