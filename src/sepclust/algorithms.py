@@ -47,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    REL_TOL, Ball, DenseBalls, PointSet, _block_rows, _distances_to,
+    REL_TOL, Ball, DenseBalls, PointSet, _distances_to,
     closest_pair, pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
@@ -205,12 +205,41 @@ def _resolve_alpha(cfg: ExtractionConfig, run: Callable, cap: int, formula: Call
     return _search_max_alpha(run, cap)
 
 
-def _plain_front(points, cfg: ExtractionConfig):
-    """The input as a PointSet with at least k points, and its distance matrix."""
+# Nonzero coordinates below this magnitude may square to 0.0 in the kernel.
+_TINY = 2.0**-484
+
+
+def _has_duplicates(coords: np.ndarray) -> bool:
+    """Exactly ``closest_pair(coords) == 0.0``, in O(n log n) by sorting.
+
+    A sum of non-negative squares is 0.0 only if every square is, and the
+    square of a double is 0.0 only when its magnitude is at most 2^-537.5.
+    Two unequal doubles that are each 0 or at least 2^-484 in magnitude
+    differ by at least 2^-536, so on such coordinates a zero distance means
+    equal rows. Any other nonzero coordinate sends the check to
+    ``closest_pair``.
+    """
+    if coords.shape[0] < 2:
+        return False
+    mag = np.abs(coords)
+    if np.any((mag < _TINY) & (mag > 0.0)):
+        return closest_pair(coords) == 0.0
+    rows = coords + 0.0  # -0.0 + 0.0 is 0.0
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+
+
+def _plain_front(points, cfg: ExtractionConfig, kind: SeparationKind):
+    """The input as a PointSet with at least k points, and its distance matrix.
+
+    Strong separation's duplicate check runs before the matrix is built.
+    """
     if not isinstance(points, PointSet):
         points = PointSet(points)
     if points.n < cfg.k:
         raise ValueError(f"need at least k={cfg.k} points, got {points.n}")
+    if kind is SeparationKind.STRONG and _has_duplicates(points.coords):
+        raise ValueError("spread undefined: point set contains duplicates")
     return points, pairwise_distances(points.coords)
 
 
@@ -226,7 +255,7 @@ def _color_front(inst: ColoredInstance, cfg: ExtractionConfig, kind: SeparationK
     well = kind is SeparationKind.WELL
     if well and len(set(inst.sizes)) != 1:
         raise ValueError("well-separated colored extraction needs equal color sizes")
-    if well and inst.points.n >= 2 and closest_pair(inst.points) == 0.0:
+    if well and _has_duplicates(inst.points.coords):
         raise ValueError("spread undefined: union contains duplicate points")
     g_idx = [inst.color_indices(c) for c in range(k)]
     coords_c = [inst.points.coords[g] for g in g_idx]
@@ -282,7 +311,7 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     Later clusters therefore sit at distance >= 2 sigma r_i from cluster i,
     which is at least sigma times its diameter.
     """
-    points, dist = _plain_front(points, cfg)
+    points, dist = _plain_front(points, cfg, SeparationKind.SEMI)
     coords, k = points.coords, cfg.k
     scale = 2.0 * float(cfg.sigma) + 2.0
 
@@ -358,8 +387,10 @@ def _select_separated(
     """
     pool = np.lexsort((radii,) if colors is None else (colors, radii))
     picked = []
-    # A huge sigma may overflow 2 sigma r to inf, which correctly drops the pair.
-    with np.errstate(over="ignore"):
+    # A huge sigma may overflow 2 sigma r to inf, and a distance beyond the
+    # double range makes a radius inf and a gap inf - inf = nan. Either way
+    # the comparison is False, which correctly drops the pair.
+    with np.errstate(over="ignore", invalid="ignore"):
         while len(picked) < k:
             if colors is not None:
                 left = np.zeros(k, dtype=bool)
@@ -390,14 +421,7 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     All cluster diameters are at most ``2 r_hat``, so the kept gaps certify
     strong separation, and every cluster holds exactly alpha points.
     """
-    points, dist = _plain_front(points, cfg)
-    # Each row holds exactly one zero on the diagonal, so a row block that
-    # holds more zeros than rows holds a duplicate.
-    step = _block_rows(points.n)
-    for s in range(0, points.n, step):
-        block = dist[s : s + step]
-        if np.count_nonzero(block == 0.0) > block.shape[0]:
-            raise ValueError("spread undefined: point set contains duplicates")
+    points, dist = _plain_front(points, cfg, SeparationKind.STRONG)
     coords, k, sigma = points.coords, cfg.k, float(cfg.sigma)
 
     def run(alpha: int):

@@ -6,6 +6,14 @@ round-trip bit-exactly). Colored files carry the integer color as the first
 field; colors must form the contiguous range 0..k-1. Files without a header
 are read as uncolored with the dimension inferred from the field count.
 
+A regular file is read in bulk: the header on the first line, then every
+line split into the same number of fields, converted by ``map(float, ...)``
+and ``map(int, ...)`` into ``np.fromiter``, so a field is accepted exactly
+when ``float()`` or ``int()`` accepts it. Anything else (a blank or ``#``
+line in the body, mixed widths, a header mismatch, a field that does not
+parse, a color outside int64) is read again line by line, and that reader
+alone words every error.
+
 Clustering file: a JSON document with sorted keys holding the declared kind
 and sigma, zero-based cluster index arrays, extraction balls when available,
 quality, the verification verdict, algorithm name, alpha, seed, and tool
@@ -14,6 +22,7 @@ version. Serialization is deterministic byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -23,6 +32,10 @@ from ._version import __version__
 from .algorithms import ColoredInstance
 from .geometry import Ball, PointSet
 from .separation import Clustering, SeparationKind, check_separation, quality
+
+
+# An index or a color must fit an int64.
+_MIN_INDEX, _MAX_INDEX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def format_float(x: float) -> str:
@@ -43,7 +56,20 @@ def points_text(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_points(text: str):
+def _header(line: str):
+    """(dim, colored) from a stripped ``# dim=<d> colored=<0|1>`` line."""
+    dim, colored = None, False
+    for token in line.lstrip("#").split():
+        key, _, value = token.partition("=")
+        if key == "dim":
+            dim = int(value)
+        elif key == "colored":
+            colored = bool(int(value))
+    return dim, colored
+
+
+def _parse_lines(text: str):
+    """(coords, colors or None) read line by line; the source of every error."""
     dim = None
     colored = False
     rows = []
@@ -55,12 +81,7 @@ def parse_points(text: str):
         if line.startswith("#"):
             if not saw_header and not rows:
                 saw_header = True
-                for token in line.lstrip("#").split():
-                    key, _, value = token.partition("=")
-                    if key == "dim":
-                        dim = int(value)
-                    elif key == "colored":
-                        colored = bool(int(value))
+                dim, colored = _header(line)
             continue
         fields = line.split()
         try:
@@ -72,6 +93,8 @@ def parse_points(text: str):
                 coords = [float(v) for v in fields]
         except (ValueError, IndexError):
             raise ValueError(f"line {lineno}: cannot parse point {line!r}") from None
+        if colored and not _MIN_INDEX <= color <= _MAX_INDEX:
+            raise ValueError(f"line {lineno}: color {color} is outside the int64 range")
         rows.append((color, coords))
     if not rows:
         raise ValueError("points file holds no points")
@@ -83,8 +106,47 @@ def parse_points(text: str):
         raise ValueError(f"header says dim={dim} but lines have {width} fields")
     coords = np.array([c for _, c in rows])
     if not colored:
+        return coords, None
+    return coords, np.array([c for c, _ in rows], dtype=int)
+
+
+def _parse_bulk(text: str):
+    """(coords, colors or None) for a regular file, or None to read it line
+    by line: an optional header on the first line, then lines that all hold
+    the same number of fields, every one accepted by ``float()`` (and the
+    color by ``int()``). A blank line, a mid-file ``#`` line (``#`` is no
+    number) or anything the line reader would reject returns None."""
+    lines = text.splitlines()
+    dim, colored = None, False
+    try:
+        if lines and lines[0].lstrip().startswith("#"):
+            dim, colored = _header(lines[0].strip())
+            lines = lines[1:]
+        rows = list(map(str.split, lines))
+        width = len(rows[0]) if rows else 0
+        coord_width = width - 1 if colored else width
+        if coord_width < 1 or {width} != set(map(len, rows)):
+            return None
+        if dim is not None and coord_width != dim:
+            return None
+        # The color column goes through float() too; a color that int()
+        # takes and float() rejects would return None, never a wrong value.
+        tokens = list(itertools.chain.from_iterable(rows))
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+        values = values.reshape(len(rows), width)
+        if not colored:
+            return values, None
+        colors = np.fromiter(map(int, tokens[::width]), dtype=int, count=len(rows))
+        return values[:, 1:], colors
+    except (ValueError, OverflowError):
+        return None
+
+
+def parse_points(text: str):
+    parsed = _parse_bulk(text)
+    coords, colors = _parse_lines(text) if parsed is None else parsed
+    if colors is None:
         return PointSet(coords)
-    colors = np.array([c for c, _ in rows], dtype=int)
     return ColoredInstance(PointSet(coords), colors)
 
 
@@ -124,9 +186,6 @@ def clustering_text(payload: dict) -> str:
 # json.loads makes exact int/float/bool objects, so type() tells them apart.
 # JSON integers are unbounded: one that no double holds, or as an index no
 # int64, is rejected here rather than overflowing in float() or np.array().
-_MAX_INDEX = np.iinfo(np.int64).max
-
-
 def _is_number(v) -> bool:
     return type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
 

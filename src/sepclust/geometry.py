@@ -129,13 +129,15 @@ def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp: np.ndarray):
     """Write into ``out`` the squared distances from the rows of ``a`` to the
     columns of ``bt`` (a second point set, transposed), summed in coordinate
     order. ``tmp`` is a temporary of ``out``'s shape; no ``(rows, m, d)``
-    difference tensor is built."""
-    np.subtract(a[:, 0:1], bt[0], out=out)
-    np.multiply(out, out, out=out)
-    for k in range(1, bt.shape[0]):
-        np.subtract(a[:, k : k + 1], bt[k], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        out += tmp
+    difference tensor is built. A square beyond the double range is inf,
+    without a warning: every caller reads inf as too far."""
+    with np.errstate(over="ignore"):
+        np.subtract(a[:, 0:1], bt[0], out=out)
+        np.multiply(out, out, out=out)
+        for k in range(1, bt.shape[0]):
+            np.subtract(a[:, k : k + 1], bt[k], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            out += tmp
     return out
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepclust import algorithms, geometry
 from sepclust.algorithms import (
@@ -364,12 +366,79 @@ def test_strong_duplicates_rejected():
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_strong_duplicate_check_counts_zeros_per_row_block(monkeypatch, rows):
-    # Points 0 and 4 repeat, and sit in different row blocks at every budget.
+    # Points 0 and 4 repeat, and sit in different row blocks at every budget;
+    # the check sorts rows and reads no block at all.
     monkeypatch.setattr(geometry, "_BLOCK", rows * 5)
     cfg = ExtractionConfig(sigma=1.0, k=2, alpha=1)
     with pytest.raises(ValueError, match="point set contains duplicates"):
         strong_separated_k(PointSet([1.0, 2.0, 4.0, 8.0, 1.0]), cfg)
     assert strong_separated_k(PointSet([1.0, 2.0, 4.0, 8.0, 16.0]), cfg).alpha == 1
+
+
+@pytest.mark.parametrize(
+    "algo, dup, distinct",
+    [
+        (strong_separated_k, PointSet([1.0, 2.0, 1.0]), PointSet([1.0, 2.0, 4.0])),
+        (
+            well_separated_k_colored,
+            ColoredInstance.from_sets([PointSet([0.0, 1.0]), PointSet([1.0, 5.0])]),
+            ColoredInstance.from_sets([PointSet([0.0, 1.0]), PointSet([3.0, 5.0])]),
+        ),
+    ],
+)
+def test_duplicate_input_fails_before_any_matrix(monkeypatch, algo, dup, distinct):
+    calls = []
+    monkeypatch.setattr(
+        algorithms, "pairwise_distances",
+        lambda c: calls.append(len(c)) or geometry.pairwise_distances(c),
+    )
+    cfg = ExtractionConfig(sigma=1.0, k=2, alpha=1)
+    with pytest.raises(ValueError, match="spread undefined: .* duplicate"):
+        algo(dup, cfg)
+    assert calls == []
+    algo(distinct, cfg)
+    assert calls
+
+
+# Each value is 0, a magnitude of at least 2^-484 (where the check sorts) or
+# one below it whose square may round to 0 (where it calls closest_pair):
+# 2^-537 squares to 0, 1.49e-162 squares to a subnormal and 1.5e-162 just
+# above, 3 and 3.0000000000000004 are one ulp apart.
+_EDGE_VALUES = [
+    0.0, 5e-324, 2.0**-537, 1.49e-162, 1.5e-162, 1e-170, 2.0**-485, 2.0**-484,
+    1.0, 3.0, 3.0000000000000004, 1e300,
+]
+
+
+@st.composite
+def _edge_coords(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    value = st.builds(
+        lambda v, neg: -v if neg else v, st.sampled_from(_EDGE_VALUES), st.booleans()
+    )
+    rows = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=2, max_size=8))
+    return np.array(rows)
+
+
+@settings(max_examples=400)
+@given(coords=_edge_coords())
+def test_duplicate_check_is_exactly_closest_pair_zero(coords):
+    assert algorithms._has_duplicates(coords) == (geometry.closest_pair(coords) == 0.0)
+
+
+def test_duplicate_check_on_random_sets():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        coords = rng.random((500, d))
+        assert not algorithms._has_duplicates(coords)
+        coords[400] = coords[17]
+        assert algorithms._has_duplicates(coords)
+        coords[400, d - 1] = np.nextafter(coords[17, d - 1], 2.0)
+        assert not algorithms._has_duplicates(coords)
+        coords[400, d - 1] = coords[17, d - 1]
+        coords[[17, 400]] *= 0.0  # -0.0 and 0.0 are equal coordinates
+        coords[400] = -coords[400]
+        assert algorithms._has_duplicates(coords)
 
 
 # ------------------------------------------------------- well colored

@@ -188,6 +188,55 @@ def test_cluster_huge_sigma_writes_no_warning(capsys, tmp_path, algo, generator)
         assert json.loads((tmp_path / f"c{sigma}.json").read_text())["verified"] is True
 
 
+def test_huge_coordinates_write_no_warning(tmp_path):
+    # Squared gaps of 2e300 overflow to inf inside the distance kernel, and
+    # an infinite radius makes a ball gap inf - inf; inf already reads as
+    # too far, so neither may print a numpy warning. Each call keeps its exit
+    # code: semi, strong and semi-colored reject an infinite radius (2), and
+    # well-colored finds singleton clusters (0) that verify accepts.
+    plain, colored = tmp_path / "p.txt", tmp_path / "c.txt"
+    plain.write_text("# dim=2 colored=0\n1e300 0\n-1e300 0\n0 1e300\n0 -1e300\n1 1\n2 2\n")
+    colored.write_text("# dim=2 colored=1\n0 1e300 0\n0 -1e300 0\n1 0 1e300\n1 0 -1e300\n")
+    out = str(tmp_path / "w.json")
+    calls = [
+        ["cluster", "--algo", "semi", "--k", "3", "--sigma", "2", "--in", str(plain)],
+        ["cluster", "--algo", "strong", "--k", "3", "--sigma", "2", "--in", str(plain)],
+        ["cluster", "--algo", "semi-colored", "--k", "2", "--sigma", "2",
+         "--in", str(colored)],
+        ["cluster", "--algo", "well-colored", "--k", "2", "--sigma", "2",
+         "--in", str(colored), "--out", out],
+        ["verify", "--points", str(colored), "--clusters", out],
+    ]
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; from sepclust.cli import main; "
+         "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+         "print(json.dumps(codes))",
+         json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1]) == [2, 2, 2, 0, 0]
+    assert "PASS:" in proc.stdout
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 3 and all(e.startswith("error: ") for e in errors), proc.stderr
+
+
+@pytest.mark.parametrize("color", ["99999999999999999999999", "-99999999999999999999999"])
+def test_color_outside_int64_exit_2(capsys, tmp_path, color):
+    pts, cl = tmp_path / "p.txt", tmp_path / "c.json"
+    pts.write_text(f"# dim=1 colored=1\n{color} 1\n")
+    cl.write_text('{"kind": "semi", "sigma": 1, "clusters": [[0]]}')
+    for argv in (
+        ["cluster", "--algo", "semi-colored", "--k", "1", "--sigma", "1", "--in", str(pts)],
+        ["verify", "--points", str(pts), "--clusters", str(cl)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: line 2: color {color} is outside the int64 range\n"
+
+
 @pytest.mark.parametrize(
     "algo, generator",
     [

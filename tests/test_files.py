@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sepclust import files
 from sepclust.algorithms import (
     ColoredInstance,
     ExtractionConfig,
@@ -60,6 +63,83 @@ def test_parse_errors():
         parse_points("# dim=2 colored=0\n0 0\nhello world\n")
     with pytest.raises(ValueError, match="line 2: cannot parse point"):
         parse_points("# dim=1 colored=1\nred 1\n")
+    for color in ("99999999999999999999999", "-99999999999999999999999"):
+        with pytest.raises(ValueError, match=f"line 3: color {color} is outside the int64"):
+            parse_points(f"# dim=1 colored=1\n0 0\n{color} 1\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_written_files_take_the_bulk_path(newline):
+    inst = gen_three_color_line(4)
+    for obj in (gen_random_uniform(30, 3, 2), inst):
+        text = points_text(obj).replace("\n", newline)
+        assert files._parse_bulk(text) is not None
+        assert files._parse_bulk(text.split(newline, 1)[1]) is not None  # no header
+
+
+def _read_by_lines(text):
+    coords, colors = files._parse_lines(text)
+    return PointSet(coords) if colors is None else ColoredInstance(PointSet(coords), colors)
+
+
+def _outcome(read, text):
+    try:
+        obj = read(text)
+    except Exception as exc:  # the type and message must match
+        return type(exc), str(exc)
+    colored = isinstance(obj, ColoredInstance)
+    ps = obj.points if colored else obj
+    return ps.coords.shape, ps.coords.tobytes(), obj.colors.tolist() if colored else None
+
+
+_TOKENS = [  # float() takes the first eleven, and gives a finite value
+    "0", "1", "2", "-3.5", "+.5", "5.", "1e-400", "1_0", "\uff11\uff12", "007", "1.0",
+    "1e400", "-1e400", "inf", "-Infinity", "nan", "-nan", "\u0663", "1__0", "0x1p3",
+    "1,5", "abc", "99999999999999999999999", "-99999999999999999999999", "#", "#5",
+]
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]
+
+
+@st.composite
+def _points_files(draw):
+    # Mostly regular files, which the bulk path reads, with some irregular
+    # lines mixed in, which send the whole file to the line reader.
+    dim = draw(st.integers(1, 3))
+    colored = draw(st.booleans())
+    header = draw(st.sampled_from([
+        "", f"# dim={dim} colored={int(colored)}", f"  # dim={dim} colored={int(colored)}",
+        "# dim=2 colored=0", "# dim=1 colored=1", "#dim=2", "# colored=1", "# note",
+        "# dim=x",
+    ]))
+    regular = st.lists(st.sampled_from(_TOKENS[:11]), min_size=dim, max_size=dim)
+    if colored:
+        color = st.sampled_from(["0", "1", "0", "1", "2", "-1", "1_0"])
+        regular = st.tuples(color, regular).map(lambda ct: [ct[0], *ct[1]])
+    width = dim + colored
+    line = regular if draw(st.booleans()) else st.one_of(
+        regular, regular, regular,
+        st.lists(st.sampled_from(_TOKENS), min_size=width, max_size=width),
+        st.lists(st.sampled_from(_TOKENS[:4]), min_size=0, max_size=4),
+        st.just(["#", "comment"]),
+    )
+    line = line.map(lambda toks: " \t"[len(toks) % 2].join(toks))
+    body = draw(st.lists(line, min_size=0, max_size=6))
+    lines = ([header] if header else []) + body
+    return "".join(ln + draw(st.sampled_from(_BREAKS)) for ln in lines)
+
+
+@settings(max_examples=600)
+@given(text=_points_files())
+@example(text="1 2\n3\n4 5 6\n")  # ragged lines whose tokens fill a 3 x 2 array
+@example(text="# dim=1 colored=1\n0 1 2\n1\n")
+def test_bulk_reader_agrees_with_line_reader(text):
+    bulk = files._parse_bulk(text)
+    if bulk is not None:
+        coords, colors = files._parse_lines(text)  # must not raise
+        assert bulk[0].tobytes() == coords.tobytes() and bulk[0].shape == coords.shape
+        assert (bulk[1] is None) == (colors is None)
+        assert colors is None or bulk[1].tolist() == colors.tolist()
+    assert _outcome(parse_points, text) == _outcome(_read_by_lines, text)
 
 
 def test_file_io(tmp_path):
