@@ -20,6 +20,7 @@ import functools
 import io
 import json
 import os
+import stat
 import sys
 import time
 from typing import Optional
@@ -74,11 +75,22 @@ def _resolve_seed(value: Optional[int]) -> int:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None.
+
+    An existing file is rewritten in place and then cut to the new length,
+    not truncated to zero first: on ext4 (``auto_da_alloc``) a close after a
+    truncate to zero, or a rename over the file, starts writeback (README,
+    "Performance notes"). A device or FIFO, which has no length, is not
+    cut. A new file gets the mode ``open(out, "w")`` would give it.
+    """
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _read(path, colored: bool, user: str):

@@ -38,21 +38,20 @@ from .separation import Clustering, SeparationKind, check_separation, quality
 _MIN_INDEX, _MAX_INDEX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-def format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def points_text(obj) -> str:
     colored = isinstance(obj, ColoredInstance)
     ps = obj.points if colored else obj
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
+    # One % operation per line: "%.17g" % x is format(x, ".17g") and "%d" % c
+    # is str(c), on the Python floats and ints that tolist() makes.
+    pattern = " ".join(["%.17g"] * ps.dim)
+    rows = ps.coords.tolist()
+    if colored:
+        pattern = "%d " + pattern
+        rows = [[c, *row] for c, row in zip(obj.colors.tolist(), rows)]
     lines = [f"# dim={ps.dim} colored={int(colored)}"]
-    for i in range(ps.n):
-        fields = [format_float(v) for v in ps.coords[i]]
-        if colored:
-            fields.insert(0, str(int(obj.colors[i])))
-        lines.append(" ".join(fields))
+    lines += [pattern % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -141,24 +141,37 @@ def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp: np.ndarray):
     return out
 
 
-def _sq_blocks(a: np.ndarray, b: np.ndarray, out=None):
+def _sq_blocks(a: np.ndarray, b, out=None):
     """Squared distances between the rows of ``a`` and of ``b``, by row block.
 
-    Yields ``(s, block)`` with ``block[i, j]`` the squared distance from
-    ``a[s + i]`` to ``b[j]``. Blocks are written into the rows of ``out`` when
-    given, else into one reused buffer.
+    Yields, for each row range ``s:e``, the block with ``block[i, j]`` the
+    squared distance from ``a[s + i]`` to ``b[j]``. Blocks are written into
+    the rows of ``out`` when given, else into one reused buffer. With ``b``
+    None the scan is of ``a`` against itself and reaches each pair once: the
+    block of rows ``s:e`` holds the columns ``s:`` only, so ``block[i, j]``
+    is the squared distance from ``a[s + i]`` to ``a[s + j]``. It equals that
+    from ``a[s + j]`` to ``a[s + i]`` bit for bit, as negation is exact.
     """
+    upper = b is None
+    b = a if upper else b
     n, m = a.shape[0], b.shape[0]
     bt = np.ascontiguousarray(b.T)
     step = _block_rows(m)
     # Both buffers in one allocation: glibc's malloc keeps it between scans,
     # where two separate buffers went back to the system and their pages
-    # were faulted in again on every call.
-    work = np.empty((2 if out is None else 1, min(step, n), m))
+    # were faulted in again on every call. Each block takes contiguous
+    # views of it, whatever its width: strided views of a (2, step, m)
+    # buffer made the self-scans up to twice as slow.
+    size = min(step, n) * m
+    work = np.empty(size if out is not None else 2 * size)
     for s in range(0, n, step):
         e = min(s + step, n)
-        block = work[1, : e - s] if out is None else out[s:e]
-        yield s, _sq_into(a[s:e], bt, block, work[0, : e - s])
+        c = s if upper else 0
+        shape = (e - s, m - c)
+        used = shape[0] * shape[1]
+        tmp = work[:used].reshape(shape)
+        block = work[used : 2 * used].reshape(shape) if out is None else out[s:e]
+        yield _sq_into(a[s:e], bt[:, c:], block, tmp)
 
 
 def pairwise_distances(a, b=None) -> np.ndarray:
@@ -168,7 +181,7 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     if aa.shape[1] != bb.shape[1]:
         raise ValueError("dimension mismatch")
     out = np.empty((aa.shape[0], bb.shape[0]))
-    for _, block in _sq_blocks(aa, bb, out):
+    for block in _sq_blocks(aa, bb, out):
         np.sqrt(block, out=block)
     return out
 
@@ -183,12 +196,13 @@ def _distances_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
 def _blocked_sq(a, b, reduce, skip_self: bool = False) -> float:
     """Square root of ``reduce`` (``np.minimum`` or ``np.maximum``) over the
     squared distances between rows of ``a`` and ``b``, computed in row blocks.
-    ``skip_self`` leaves out the pairs (i, i) when ``b`` is ``a``."""
+    With ``b`` None each pair of rows of ``a`` is scanned once, and
+    ``skip_self`` leaves out the pairs (i, i)."""
     best = None
-    for s, d2 in _sq_blocks(a, b):
+    for d2 in _sq_blocks(a, b):
         if skip_self:
             rows = np.arange(d2.shape[0])
-            d2[rows, rows + s] = np.inf
+            d2[rows, rows] = np.inf
         part = reduce.reduce(d2, axis=None)
         best = part if best is None else reduce(best, part)
     return math.sqrt(best)
@@ -212,7 +226,7 @@ def diameter(ps) -> float:
         raise ValueError("diameter of an empty set is undefined")
     if n == 1:
         return 0.0
-    return _blocked_sq(c, c, np.maximum)
+    return _blocked_sq(c, None, np.maximum)
 
 
 def closest_pair(ps) -> float:
@@ -220,7 +234,7 @@ def closest_pair(ps) -> float:
     c = _coords_of(ps)
     if c.shape[0] < 2:
         raise ValueError("closest_pair requires at least two points")
-    return _blocked_sq(c, c, np.minimum, skip_self=True)
+    return _blocked_sq(c, None, np.minimum, skip_self=True)
 
 
 def spread(ps) -> float:

@@ -543,3 +543,61 @@ def test_verify_malformed_clustering_exit_2(capsys, tmp_path, field, value):
     code, out, err = run(capsys, "verify", "--points", str(pts), "--clusters", str(cl))
     assert code == 2 and "PASS" not in out
     assert err.startswith("error: ") and field in err
+
+
+def _cluster_args(tmp_path):
+    pts = tmp_path / "p.txt"
+    pts.write_text("# dim=1 colored=0\n0\n1\n10\n11\n")
+    return ["cluster", "--algo", "strong", "--k", "2", "--sigma", "1", "--in", str(pts)]
+
+
+@pytest.mark.parametrize("extra", [-5, 0, 40])
+def test_out_rewrites_an_existing_file_in_place(capsys, tmp_path, extra):
+    # The file is opened without truncation and cut after the write: an old
+    # file longer, shorter or as long as the new bytes leaves none of its own.
+    fresh, out = tmp_path / "fresh.json", tmp_path / "c.json"
+    argv = _cluster_args(tmp_path)
+    assert run(capsys, *argv, "--out", str(fresh))[0] == 0
+    want = fresh.read_bytes()
+    out.write_bytes(b"x" * (len(want) + extra))
+    assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == want
+    for text in ("é\n" * 3, "\n"):  # _emit itself: non-ASCII, then shorter
+        cli._emit(text, str(out))
+        assert out.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o027, 0o077, 0o000])
+def test_out_creates_a_file_with_the_mode_of_open_w(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        cli._emit("1\n", str(tmp_path / "new.txt"))
+        with open(tmp_path / "ref.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "new.txt").st_mode
+    assert mode == os.stat(tmp_path / "ref.txt").st_mode
+    assert mode & 0o777 == 0o666 & ~mask
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/c.json"])
+@pytest.mark.parametrize("command", ["generate", "cluster"])
+def test_out_unwritable_path_exit_2(capsys, tmp_path, target, command):
+    (tmp_path / "dir").mkdir()
+    out = str(tmp_path / target)
+    if command == "generate":
+        argv = ["generate", "expline", "--n", "3"]
+    else:
+        argv = _cluster_args(tmp_path)
+    code, stdout, err = run(capsys, *argv, "--out", out)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and out in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_out_null_device_exit_0(capsys, tmp_path):
+    # A character device has no length to cut.
+    assert run(capsys, *_cluster_args(tmp_path), "--out", os.devnull) == (0, "", "")
+    assert run(capsys, "generate", "expline", "--n", "3", "--out", os.devnull) == (0, "", "")

@@ -44,6 +44,46 @@ def test_colored_roundtrip():
     assert np.array_equal(back.colors, inst.colors)
 
 
+def _points_text_reference(obj):
+    # One format() call per value, the writer's layout before it moved to
+    # one % operation per line.
+    colored = isinstance(obj, ColoredInstance)
+    ps = obj.points if colored else obj
+    lines = [f"# dim={ps.dim} colored={int(colored)}"]
+    for i in range(ps.n):
+        fields = [format(float(v), ".17g") for v in ps.coords[i]]
+        if colored:
+            fields.insert(0, str(int(obj.colors[i])))
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308, 0.1]
+_INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(
+                st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=d, max_size=d,
+            ),
+            min_size=1, max_size=6,
+        )
+    ),
+    colors=st.lists(st.sampled_from([*_INT64, 0, -1]) | st.integers(*_INT64), min_size=6, max_size=6),
+)
+def test_points_text_matches_format_per_value(rows, colors):
+    ps = PointSet(np.array(rows))
+    assert points_text(ps) == _points_text_reference(ps)
+    inst = ColoredInstance(ps, np.zeros(ps.n, dtype=int))
+    # ColoredInstance admits only colors 0..k-1; the writer formats any int64.
+    object.__setattr__(inst, "colors", np.array(colors[: ps.n], dtype=np.int64))
+    assert points_text(inst) == _points_text_reference(inst)
+
+
 def test_headerless_file_inferred():
     ps = parse_points("0 0\n1 2\n")
     assert isinstance(ps, PointSet)

@@ -320,6 +320,15 @@ def test_block_budget_carries_no_meaning(monkeypatch, d):
     rng = np.random.default_rng(d)
     a, b = _wide_points(rng, 60, d), _wide_points(rng, 23, d)
     ps, few = PointSet(rng.random((60, d))), PointSet(rng.random((12, d)))
+    # The self-scans of closest_pair and diameter reach each pair once, from
+    # the block of its lower row: a duplicate or a far pair planted at (i, j)
+    # within a block or across a boundary must be found from either side.
+    pairs = [(0, 59), (59, 0), (6, 7), (7, 6), (57, 58), (21, 22), (22, 21)]
+
+    def planted(i, j, pi, pj):
+        c = a.copy()
+        c[i], c[j] = pi, pj
+        return c
 
     def results():
         dist = pairwise_distances(a)
@@ -329,9 +338,15 @@ def test_block_budget_carries_no_meaning(monkeypatch, d):
             closest_pair(a), diameter(a), set_distance(a, b), set_distance(b, a),
             DenseBalls(dist, 5)._heap, qc.centers, qc.radii, max_epoch_depth(qc, ps),
             exact_min_ball_all(few),
+            [closest_pair(planted(i, j, a[i], a[i])) for i, j in pairs],
+            [diameter(planted(i, j, 2.0**200, -(2.0**200))) for i, j in pairs],
         ]
 
     want = results()
+    full = want[0] + np.diag(np.full(60, np.inf))
+    assert want[3] == full.min() and want[4] == want[0].max()
+    assert want[-2] == [0.0] * len(pairs)
+    assert want[-1] == [2.0**201 * math.sqrt(d)] * len(pairs)
     for rows in (1, 3, 7):
         monkeypatch.setattr(geometry, "_BLOCK", rows * 60)
         assert geometry._block_rows(60) == rows
