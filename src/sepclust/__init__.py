@@ -43,7 +43,6 @@ from .geometry import (
     spread,
 )
 from .oracle import (
-    OracleBudget,
     OracleBudgetExceeded,
     best_separated_pair,
     check_three_color_hopeless,

@@ -49,7 +49,6 @@ from .files import (
 )
 from .generators import GENERATORS, GeneratorSpec, gen_k_copies
 from .oracle import (
-    OracleBudget,
     OracleBudgetExceeded,
     best_separated_pair,
     check_three_color_hopeless,
@@ -81,16 +80,20 @@ def _emit(text: str, out: Optional[str]) -> None:
     not truncated to zero first: on ext4 (``auto_da_alloc``) a close after a
     truncate to zero, or a rename over the file, starts writeback (README,
     "Performance notes"). A device or FIFO, which has no length, is not
-    cut. A new file gets the mode ``open(out, "w")`` would give it.
+    cut. A new file gets the mode ``open(out, "w")`` would give it. A write
+    that fails part way cuts the file where its new bytes end.
     """
     if out is None:
         sys.stdout.write(text)
         return
     fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+        try:
+            fh.write(text)
+            fh.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _read(path, colored: bool, user: str):
@@ -146,22 +149,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _budget(max_n: Optional[int], field: str) -> OracleBudget:
-    """``OracleBudget``'s defaults, with ``field`` set to ``--max-n`` if given."""
-    return OracleBudget() if max_n is None else OracleBudget(**{field: max_n})
-
-
 def _cmd_oracle(args) -> int:
     obj = _read(args.infile, args.oracle == "three-color", args.oracle)
+    budget = {} if getattr(args, "max_n", None) is None else {"max_n": args.max_n}
     if args.oracle == "best-pair":
-        budget = _budget(args.max_n, "max_n_assignment")
-        q, (c1, c2) = best_separated_pair(obj, args.sigma, args.kind, budget)
+        q, (c1, c2) = best_separated_pair(obj, args.sigma, args.kind, **budget)
         print(f"quality {q}")
         print(f"C1 {' '.join(map(str, c1.tolist()))}")
         print(f"C2 {' '.join(map(str, c2.tolist()))}")
     elif args.oracle == "min-ball":
-        budget = _budget(args.max_n, "max_n_ball")
-        r = exact_min_ball_alpha(obj, args.alpha, budget)
+        r = exact_min_ball_alpha(obj, args.alpha, **budget)
         print(f"radius {r:.17g}")
     else:
         verdict = check_three_color_hopeless(obj, args.sigma)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algorithms import ColoredInstance
-from .geometry import PointSet, diameter, pairwise_distances
+from .geometry import PointSet, closest_pair, diameter
 
 
 class EmbeddingFailed(RuntimeError):
@@ -25,6 +25,7 @@ class EmbeddingFailed(RuntimeError):
 
 MAX_GRID_POINTS = 4_194_304  # 2**22; guards accidental N^d blowups
 _EMBED_ATTEMPTS = 100
+_CELL_CANDIDATES = 2_000_000
 
 
 def gen_grid(side: int, dim: int) -> PointSet:
@@ -83,7 +84,7 @@ def _find_ring_cell(n: int, dim: int) -> tuple:
     scanned from the largest value down. Ties go to the larger cell size.
     """
     i = j = 1  # pointers into 3/t and 2/t
-    for _ in range(2_000_000):
+    for _ in range(_CELL_CANDIDATES):
         take3 = 3 * j >= 2 * i  # 3/i >= 2/j
         num, den = (3, i) if take3 else (2, j)
         if take3 and 3 * j == 2 * i:
@@ -95,7 +96,7 @@ def _find_ring_cell(n: int, dim: int) -> tuple:
         a, b = _ring_axis_counts(num, den)
         if a**dim - b**dim >= n:
             return num, den, a, b
-    raise RuntimeError("cell size search failed")
+    raise ValueError(f"no cell size among the largest {_CELL_CANDIDATES} holds n={n}")
 
 
 def gen_exponential_ring_grid(n: int, spread_target: float, dim: int) -> PointSet:
@@ -180,12 +181,10 @@ def gen_near_uniform_highdim(n: int, eps: float, seed: int) -> PointSet:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     dim = 8 * math.ceil(math.log(n) / eps**2)
-    iu = np.triu_indices(n, 1)
     for attempt in range(_EMBED_ATTEMPTS):
         rng = np.random.default_rng([int(seed), attempt])
         pts = rng.standard_normal((n, dim)) / math.sqrt(2.0 * dim)
-        d = pairwise_distances(pts)[iu]
-        if d.min() >= 1.0 - eps and d.max() <= 1.0 + eps:
+        if closest_pair(pts) >= 1.0 - eps and diameter(pts) <= 1.0 + eps:
             return PointSet(pts)
     raise EmbeddingFailed(
         f"no embedding within the distance band after {_EMBED_ATTEMPTS} attempts"

@@ -9,12 +9,11 @@ that make the three-color line hopeless for strong separation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import ColoredInstance
-from .geometry import REL_TOL, PointSet, _block_rows, pairwise_distances
+from .geometry import REL_TOL, PointSet, _sq_blocks, pairwise_distances
 from .separation import SeparationKind, check_sigma
 
 
@@ -22,14 +21,9 @@ class OracleBudgetExceeded(RuntimeError):
     """Instance is larger than the oracle's combinatorial budget."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_n_assignment: int = 12
-    max_n_ball: int = 40
-
-    def __post_init__(self):
-        if self.max_n_assignment < 1 or self.max_n_ball < 1:
-            raise ValueError("budgets must be positive")
+def _check_budget(max_n: int) -> None:
+    if max_n < 1:
+        raise ValueError("budgets must be positive")
 
 
 def _circumcenters(subsets: np.ndarray):
@@ -81,14 +75,14 @@ def _candidate_balls(coords: np.ndarray):
     return np.vstack(centers), np.concatenate(radii)
 
 
-def exact_min_ball_all(ps: PointSet, budget: OracleBudget | None = None) -> np.ndarray:
-    """Exact optimal radii for every alpha in 1..n at once."""
-    budget = budget or OracleBudget()
+def exact_min_ball_all(ps: PointSet, max_n: int = 40) -> np.ndarray:
+    """Exact optimal radii for every alpha in 1..n at once, for n <= max_n."""
+    _check_budget(max_n)
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
     n, d = ps.n, ps.dim
-    if n > budget.max_n_ball:
-        raise OracleBudgetExceeded(f"n={n} exceeds ball budget {budget.max_n_ball}")
+    if n > max_n:
+        raise OracleBudgetExceeded(f"n={n} exceeds ball budget {max_n}")
     if d > 3:
         raise OracleBudgetExceeded(f"d={d} exceeds ball oracle dimension limit 3")
     if d == 1:
@@ -97,37 +91,37 @@ def exact_min_ball_all(ps: PointSet, budget: OracleBudget | None = None) -> np.n
         for alpha in range(1, n + 1):
             out[alpha - 1] = 0.5 * (xs[alpha - 1 :] - xs[: n - alpha + 1]).min()
         return out
-    centers, radii = _candidate_balls(ps.coords)
-    counts = np.empty(centers.shape[0], dtype=int)
-    step = _block_rows(n)
-    for s in range(0, centers.shape[0], step):
-        d_blk = pairwise_distances(centers[s : s + step], ps.coords)
-        counts[s : s + step] = (
-            d_blk <= radii[s : s + step, None] * (1.0 + REL_TOL)
-        ).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates
+        centers, radii = _candidate_balls(ps.coords)
+    if not np.isfinite(centers).all():  # a midpoint or circumcenter overflowed
+        raise ValueError("coordinates must be finite")
+    lim = radii * (1.0 + REL_TOL)
+    counts = np.zeros(centers.shape[0], dtype=int)
+    for blk in _sq_blocks(ps.coords, centers):
+        np.sqrt(blk, out=blk)
+        counts += (blk <= lim).sum(axis=0)
     by_radius = np.argsort(radii, kind="stable")
     run_max = np.maximum.accumulate(counts[by_radius])
     pos = np.searchsorted(run_max, np.arange(1, n + 1), side="left")
     return radii[by_radius][pos]
 
 
-def exact_min_ball_alpha(
-    ps: PointSet, alpha: int, budget: OracleBudget | None = None
-) -> float:
+def exact_min_ball_alpha(ps: PointSet, alpha: int, max_n: int = 40) -> float:
     """Exact minimum radius of any ball covering alpha points of the set."""
+    _check_budget(max_n)
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
     alpha = int(alpha)
     if alpha < 1 or alpha > ps.n:
         raise ValueError(f"alpha must be in [1, {ps.n}], got {alpha}")
-    return float(exact_min_ball_all(ps, budget)[alpha - 1])
+    return float(exact_min_ball_all(ps, max_n)[alpha - 1])
 
 
 def best_separated_pair(
     ps: PointSet,
     sigma: float,
     kind: SeparationKind,
-    budget: OracleBudget | None = None,
+    max_n: int = 12,
 ):
     """Exact maximum of min(|C1|, |C2|) over all separated two-cluster
     assignments, with a maximizing witness.
@@ -138,18 +132,16 @@ def best_separated_pair(
     separation inequality are pruned (diameters only grow and the cross
     distance only shrinks as points are added, so violation is permanent),
     as are branches that cannot beat the incumbent; the first maximizer in
-    enumeration order is returned. A sigma that fails ``check_sigma`` raises
-    ValueError.
+    enumeration order is returned. At most ``max_n`` points; a sigma that
+    fails ``check_sigma`` raises ValueError.
     """
+    _check_budget(max_n)
     s = check_sigma(sigma)
-    budget = budget or OracleBudget()
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
     n = ps.n
-    if n > budget.max_n_assignment:
-        raise OracleBudgetExceeded(
-            f"n={n} exceeds assignment budget {budget.max_n_assignment}"
-        )
+    if n > max_n:
+        raise OracleBudgetExceeded(f"n={n} exceeds assignment budget {max_n}")
     if n < 2:
         raise ValueError("need at least two points")
     if not isinstance(kind, SeparationKind):
@@ -228,10 +220,7 @@ def check_three_color_hopeless(inst: ColoredInstance, sigma: float) -> bool:
         raise ValueError("expected equal color class sizes")
     n = sizes[0]
     third = np.sort(inst.points.coords[inst.color_indices(2), 0])
-    if n >= 2:
-        min_gap = float(np.diff(third).min())
-    else:
-        min_gap = float("inf")
+    min_gap = float(np.diff(third).min(initial=np.inf))
     first_two = inst.points.coords[np.isin(inst.colors, (0, 1)), 0]
     diam = float(first_two.max() - first_two.min())
     return min_gap >= n and diam <= 2 * n

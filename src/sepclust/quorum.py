@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import REL_TOL, DenseBalls, PointSet, _block_rows, pairwise_distances
+from .geometry import REL_TOL, DenseBalls, PointSet, _sq_blocks, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,12 +130,8 @@ def max_epoch_depth(qc: QuorumClustering, ps: PointSet) -> int:
     coords = ps.coords
     worst = 0
     for s, e in epochs(qc.radii):
-        centers = coords[qc.centers[s:e]]
-        radii = qc.radii[s:e] * (1.0 + REL_TOL)
-        step = _block_rows(e - s)
-        for blk in range(0, coords.shape[0], step):
-            d = pairwise_distances(coords[blk : blk + step], centers)
-            depth = int((d <= radii[None, :]).sum(axis=1).max())
-            if depth > worst:
-                worst = depth
+        lim = qc.radii[s:e] * (1.0 + REL_TOL)
+        for blk in _sq_blocks(coords, coords[qc.centers[s:e]]):
+            np.sqrt(blk, out=blk)
+            worst = max(worst, int((blk <= lim).sum(axis=1).max()))
     return worst

@@ -25,7 +25,7 @@ from sepclust.generators import (
     gen_three_color_line,
 )
 from sepclust.geometry import PointSet, diameter, set_distance, spread
-from sepclust.oracle import OracleBudget, best_separated_pair
+from sepclust.oracle import best_separated_pair
 from sepclust.separation import (
     Clustering,
     SeparationKind,
@@ -316,7 +316,7 @@ def test_strong_exponential_line_useless():
     cl = strong_separated_k(gen_exponential_line(10), ExtractionConfig(sigma=1.0, k=2))
     assert quality(cl) == 1
     q_opt, _ = best_separated_pair(
-        gen_exponential_line(10), 1.0, SeparationKind.STRONG, OracleBudget(max_n_assignment=10)
+        gen_exponential_line(10), 1.0, SeparationKind.STRONG, max_n=10
     )
     assert q_opt == 1
 

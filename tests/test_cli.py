@@ -80,6 +80,17 @@ def test_generate_out_of_memory_exit_2(capsys, monkeypatch):
     assert err == "error: cannot allocate 1000000000000 x 2 points\n"
 
 
+def test_generate_expgrid_cell_search_limit_exit_2(capsys, tmp_path):
+    # At d = 1 three million ring points need a cell beyond the search's
+    # candidate limit: a usage error, with no traceback and no file.
+    out = tmp_path / "g.txt"
+    code, stdout, err = run(capsys, "generate", "expgrid", "--n", "3000000",
+                            "--spread", "4e6", "--dim", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "2000000" in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["generate", "grid", "--side", "2"]) == 2  # missing --dim
     assert main(["cluster", "--algo", "bogus"]) == 2
@@ -379,6 +390,17 @@ def test_oracle_max_n(capsys, tmp_path):
         assert code == 2 and "budgets must be positive" in err
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_oracle_min_ball_overflowing_midpoint_exit_2(capsys, tmp_path, dim):
+    # The midpoint of (1e308, 0) and (1e308, 1) overflows to inf; the oracle
+    # rejects it rather than count points around an infinite center.
+    pad = " 0" * (dim - 2)
+    pts = tmp_path / "p.txt"
+    pts.write_text("".join(f"{p}{pad}\n" for p in ("1e308 0", "1e308 1", "0 1", "5 5")))
+    code, out, err = run(capsys, "oracle", "min-ball", "--in", str(pts), "--alpha", "2")
+    assert (code, out, err) == (2, "", "error: coordinates must be finite\n")
+
+
 @pytest.mark.parametrize(
     "argv, colored",
     [
@@ -565,6 +587,31 @@ def test_out_rewrites_an_existing_file_in_place(capsys, tmp_path, extra):
     for text in ("é\n" * 3, "\n"):  # _emit itself: non-ASCII, then shorter
         cli._emit(text, str(out))
         assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_out_failed_write_leaves_no_old_tail(capsys, tmp_path):
+    # Under a 100,000-byte file size limit a 147,618-byte rewrite of a
+    # 200,000-byte file fails part way. The file must end where the new
+    # bytes do: an old tail after them could still parse.
+    argv = ["generate", "grid", "--side", "150", "--dim", "2"]
+    want = run(capsys, *argv)[1].encode()
+    out = tmp_path / "g.txt"
+    out.write_bytes(b"x" * 200_000)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, signal, sys; from sepclust.cli import main; "
+         "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+         "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+         "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard)); "
+         "sys.exit(main(sys.argv[1:]))",
+         *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    got = out.read_bytes()
+    assert 0 < len(got) <= 100_000 and got == want[: len(got)]
 
 
 @pytest.mark.parametrize("mask", [0o022, 0o027, 0o077, 0o000])

@@ -17,7 +17,7 @@ from sepclust.generators import (
     gen_three_color_line,
 )
 from sepclust.geometry import PointSet, closest_pair, diameter, spread
-from sepclust.oracle import OracleBudget, best_separated_pair
+from sepclust.oracle import best_separated_pair
 from sepclust.separation import SeparationKind
 
 
@@ -144,7 +144,7 @@ def test_ring_grid_subsample_oracle_small_quality():
     rng = np.random.default_rng(7)
     sub = PointSet(ps.coords[np.sort(rng.choice(ps.n, size=18, replace=False))])
     q, _ = best_separated_pair(
-        sub, 24.0, SeparationKind.WELL, OracleBudget(max_n_assignment=18)
+        sub, 24.0, SeparationKind.WELL, max_n=18
     )
     assert q <= 2
 
@@ -199,6 +199,13 @@ def test_k_copies_gap_is_diameter():
 
 
 # ---------------------------------------------- near-uniform highdim
+
+
+def test_ring_cell_search_limit_is_a_value_error():
+    # At d = 1 the ring holds about 2 / cell points, so three million of them
+    # need a cell size past the search's candidate limit.
+    with pytest.raises(ValueError, match="among the largest 2000000 holds n=3000000"):
+        gen_exponential_ring_grid(3_000_000, 4e6, 1)
 
 
 def test_near_uniform_distance_band():

@@ -366,3 +366,17 @@ def test_every_distance_goes_through_the_kernel():
         if "einsum" in line or "linalg.norm" in line
     ]
     assert hits == []
+
+
+def test_the_block_rule_lives_in_geometry():
+    # Every n^2 pass takes its row blocks from geometry's scans; no other
+    # module sizes blocks of its own.
+    src = Path(sepclust.__file__).parent
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "geometry.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "_block_rows" in line
+    ]
+    assert hits == []

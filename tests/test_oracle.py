@@ -8,8 +8,8 @@ from sepclust.algorithms import ExtractionConfig, semi_separated_k
 from sepclust.generators import gen_exponential_line, gen_three_color_line
 from sepclust.geometry import REL_TOL, PointSet, pairwise_distances
 from sepclust.oracle import (
-    OracleBudget,
     OracleBudgetExceeded,
+    _candidate_balls,
     best_separated_pair,
     check_three_color_hopeless,
     exact_min_ball_all,
@@ -41,7 +41,7 @@ def test_min_ball_budget():
     with pytest.raises(OracleBudgetExceeded):
         exact_min_ball_alpha(PointSet(rng.random((5, 4))), 3)
     assert exact_min_ball_alpha(
-        PointSet(rng.random((41, 2))), 3, OracleBudget(max_n_ball=50)
+        PointSet(rng.random((41, 2))), 3, max_n=50
     ) >= 0.0
 
 
@@ -92,6 +92,45 @@ def test_min_ball_brute_force_cross_check_2d():
     exact = exact_min_ball_all(ps)
     for alpha in range(1, 10):
         assert exact[alpha - 1] == pytest.approx(brute(alpha), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_min_ball_counts_match_one_full_matrix(d):
+    # Quarter-grid coordinates put points exactly on candidate spheres and
+    # repeat some points. The counts over the kernel's blocks must give the
+    # radii read off one full center-by-point distance matrix, bit for bit.
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 7, 16, 40):
+        coords = np.round(rng.random((n, d)) * 12) / 4
+        centers, radii = _candidate_balls(coords)
+        within = pairwise_distances(centers, coords) <= radii[:, None] * (1.0 + REL_TOL)
+        counts = within.sum(axis=1)
+        want = [radii[counts >= alpha].min() for alpha in range(1, n + 1)]
+        assert exact_min_ball_all(PointSet(coords)).tolist() == want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_min_ball_overflowing_center_is_rejected(d):
+    # The midpoint of two points near 1e308 overflows to inf. The counts
+    # must not read it: the true radius at alpha = 2 here is 0.5.
+    coords = np.zeros((4, d))
+    coords[:2, 0] = 1e308
+    coords[1, 1] = coords[2, 1] = 1.0
+    coords[3, :2] = 5.0
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        exact_min_ball_all(PointSet(coords))
+
+
+def test_oracle_budgets_are_checked_first():
+    # A budget below one is refused before sigma or alpha is looked at.
+    ps = PointSet([0.0, 1.0, 5.0])
+    for call in (
+        lambda: best_separated_pair(ps, math.nan, SeparationKind.SEMI, max_n=0),
+        lambda: exact_min_ball_alpha(ps, 99, max_n=0),
+        lambda: exact_min_ball_all(ps, max_n=-1),
+    ):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            call()
 
 
 def test_min_ball_monotone_in_alpha():

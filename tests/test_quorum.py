@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepclust.geometry import Ball, PointSet, pairwise_distances, spread
+from sepclust.geometry import REL_TOL, Ball, PointSet, pairwise_distances, spread
 from sepclust.oracle import exact_min_ball_alpha
 from sepclust.quorum import (
     _quorum_steps,
@@ -14,7 +14,12 @@ from sepclust.quorum import (
     max_epoch_depth,
     quorum_clustering,
 )
-from sepclust.generators import gen_exponential_line, gen_grid, gen_random_uniform
+from sepclust.generators import (
+    gen_exponential_line,
+    gen_exponential_ring_grid,
+    gen_grid,
+    gen_random_uniform,
+)
 
 
 def test_two_tight_pairs():
@@ -180,6 +185,28 @@ def test_packing_depth_constant_small_grids():
         depths[side] = max_epoch_depth(qc, g)
         assert depths[side] <= bound
     assert abs(depths[32] - depths[16]) <= 2  # small fluctuation, no growth with n
+
+
+def _depth_inputs():
+    yield gen_grid(8, 2)
+    yield gen_exponential_line(24)
+    yield gen_exponential_ring_grid(16, 16.0, 2)
+    rng = np.random.default_rng(5)
+    for d in (2, 3):
+        for n in (30, 90):
+            # Quarter-grid coordinates put points exactly on ball boundaries.
+            yield PointSet(np.round(rng.random((n, d)) * 16) / 4)
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3, 8])
+def test_max_epoch_depth_matches_one_full_matrix(gamma):
+    # Reference: one full point-by-center distance matrix, read per epoch.
+    for ps in _depth_inputs():
+        qc = quorum_clustering(ps, gamma)
+        lim = qc.radii * (1.0 + REL_TOL)
+        within = pairwise_distances(ps.coords, ps.coords[qc.centers]) <= lim
+        want = max(int(within[:, s:e].sum(axis=1).max()) for s, e in epochs(qc.radii))
+        assert max_epoch_depth(qc, ps) == want
 
 
 def test_duplicates_form_zero_radius_steps():
