@@ -80,7 +80,10 @@ def _parse_lines(text: str):
         if line.startswith("#"):
             if not saw_header and not rows:
                 saw_header = True
-                dim, colored = _header(line)
+                try:
+                    dim, colored = _header(line)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: cannot parse header {line!r}") from None
             continue
         fields = line.split()
         try:
@@ -160,14 +163,13 @@ def clustering_payload(
     balls = None
     if clustering.balls is not None:
         balls = [
-            {"center": [float(v) for v in b.center], "radius": float(b.radius)}
-            for b in clustering.balls
+            {"center": b.center.tolist(), "radius": b.radius} for b in clustering.balls
         ]
     return {
         "algorithm": str(algorithm),
         "alpha": None if clustering.alpha is None else int(clustering.alpha),
         "balls": balls,
-        "clusters": [[int(i) for i in c] for c in clustering.clusters],
+        "clusters": [c.tolist() for c in clustering.clusters],
         "k": clustering.k,
         "kind": clustering.kind.value,
         "quality": quality(clustering),

@@ -9,6 +9,7 @@ kinds are deterministic given their seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -66,37 +67,33 @@ def gen_three_color_line(n: int) -> ColoredInstance:
     )
 
 
-def _ring_axis_counts(num: int, den: int) -> tuple:
-    # cell size is num/den with num in {2, 3}; exact integer counts
-    inside_cube = 2 * ((3 * den) // num) + 1  # |m * l| <= 3
-    hole_half = -((-2 * den) // num) - 1  # |m * l| < 2, i.e. |m| <= ceil(2den/num)-1
-    inside_hole = 2 * hole_half + 1
-    return inside_cube, inside_hole
+def _ring_count(i: int, dim: int) -> int:
+    """Lattice points in the ring [-3,3]^d minus the open cube (-2,2)^d at
+    cell size 3/i: the cube spans -i..i per axis, the hole -h..h with
+    h = ceil(2i/3) - 1."""
+    return (2 * i + 1) ** dim - (2 * ((2 * i - 1) // 3) + 1) ** dim
 
 
 def _find_ring_cell(n: int, dim: int) -> tuple:
-    """Largest cell size with >= n lattice points in the ring [-3,3]^d minus
-    the open cube (-2,2)^d.
+    """(i, h): the largest cell size 3/i whose ring holds >= n lattice
+    points, and the hole's half-width h at it.
 
-    The count is a step function of the cell size that only changes at the
-    critical values 3/t and 2/t, and it is not monotone between families, so
-    the two descending sequences are merged exactly (integer arithmetic) and
-    scanned from the largest value down. Ties go to the larger cell size.
+    As the cell shrinks the ring's count rises only at the values 3/i and
+    falls only below the values 2/j, and _ring_count never falls as i grows
+    (the cube's side grows by 2, the hole's by 0 or 2, and x^d is convex):
+    so i is the smallest with _ring_count(i) >= n, found by doubling and
+    bisection. Merging the values 3/t and 2/t in descending order, 3/i comes
+    i + ceil(h/2)-th; past the first _CELL_CANDIDATES of them the search
+    gives up.
     """
-    i = j = 1  # pointers into 3/t and 2/t
-    for _ in range(_CELL_CANDIDATES):
-        take3 = 3 * j >= 2 * i  # 3/i >= 2/j
-        num, den = (3, i) if take3 else (2, j)
-        if take3 and 3 * j == 2 * i:
-            j += 1  # same value from both families; count once
-        if take3:
-            i += 1
-        else:
-            j += 1
-        a, b = _ring_axis_counts(num, den)
-        if a**dim - b**dim >= n:
-            return num, den, a, b
-    raise ValueError(f"no cell size among the largest {_CELL_CANDIDATES} holds n={n}")
+    top = 1
+    while _ring_count(top, dim) < n:
+        top *= 2
+    i = bisect.bisect_left(range(top + 1), n, lo=1, key=lambda t: _ring_count(t, dim))
+    h = (2 * i - 1) // 3
+    if i + (h + 1) // 2 > _CELL_CANDIDATES:
+        raise ValueError(f"no cell size among the largest {_CELL_CANDIDATES} holds n={n}")
+    return i, h
 
 
 def gen_exponential_ring_grid(n: int, spread_target: float, dim: int) -> PointSet:
@@ -120,27 +117,26 @@ def gen_exponential_ring_grid(n: int, spread_target: float, dim: int) -> PointSe
     if spread_target < n or spread_target <= 1.0:
         raise ValueError("spread target must be > 1 and at least n")
     levels = math.ceil(math.log2(spread_target))
-    num, den, a, b_hole = _find_ring_cell(n, dim)
-    if a**dim > 6 * n:
+    i, h = _find_ring_cell(n, dim)
+    cube = (2 * i + 1) ** dim
+    if cube > 6 * n:
         raise ValueError(
             "construction needs a denser ring: lattice fills the cube with "
-            f"{a**dim} > 6n = {6 * n} points; increase n"
+            f"{cube} > 6n = {6 * n} points; increase n"
         )
     # Distinct points differ by at least one deepest-level cell in some
     # coordinate. Its square must stay a normal double (>= 2^-1022): below,
     # the squared gaps lose precision and then underflow to zero distance.
-    if 2 * (math.log2(num / den) - (levels - 1) * math.log2(3)) < -1022:
+    if 2 * (math.log2(3 / i) - (levels - 1) * math.log2(3)) < -1022:
         raise ValueError(
             f"spread target {spread_target:g} needs {levels} levels, whose "
             "squared gaps underflow a double"
         )
-    half = (a - 1) // 2
-    hole_half = (b_hole - 1) // 2
-    axes = [np.arange(-half, half + 1)] * dim
+    axes = [np.arange(-i, i + 1)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     ints = np.stack([m.ravel() for m in mesh], axis=1)
-    ring = ints[np.abs(ints).max(axis=1) > hole_half]
-    base = ring[:n].astype(float) * (num / den)
+    ring = ints[np.abs(ints).max(axis=1) > h]
+    base = ring[:n].astype(float) * (3 / i)
     blocks = [base]
     for _ in range(levels - 1):
         blocks.append(blocks[-1] / 3.0)

@@ -91,6 +91,21 @@ def test_generate_expgrid_cell_search_limit_exit_2(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_generate_expgrid_denser_ring_exit_2(capsys):
+    code, out, err = run(capsys, "generate", "expgrid", "--n", "1", "--spread", "4", "--dim", "3")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "27 > 6n = 6" in err
+
+
+@pytest.mark.parametrize("header", ["# dim=x", "# dim=1 colored=q"])
+def test_malformed_header_exit_2(capsys, tmp_path, header):
+    pts = tmp_path / "p.txt"
+    pts.write_text(f"{header}\n1\n2\n")
+    code, out, err = run(capsys, "cluster", "--algo", "semi", "--k", "1", "--sigma", "1", "--in", str(pts))
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: cannot parse header {header!r}\n"
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["generate", "grid", "--side", "2"]) == 2  # missing --dim
     assert main(["cluster", "--algo", "bogus"]) == 2

@@ -103,6 +103,9 @@ def test_parse_errors():
         parse_points("# dim=2 colored=0\n0 0\nhello world\n")
     with pytest.raises(ValueError, match="line 2: cannot parse point"):
         parse_points("# dim=1 colored=1\nred 1\n")
+    for header in ("# dim=x", "# dim=1 colored=q"):
+        with pytest.raises(ValueError, match=f"^line 3: cannot parse header '{header}'$"):
+            parse_points(f"\n  \n{header}\n1 2\n")
     for color in ("99999999999999999999999", "-99999999999999999999999"):
         with pytest.raises(ValueError, match=f"line 3: color {color} is outside the int64"):
             parse_points(f"# dim=1 colored=1\n0 0\n{color} 1\n")

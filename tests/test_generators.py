@@ -1,5 +1,7 @@
+import itertools
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,6 +165,75 @@ def test_ring_grid_rejects_targets_whose_levels_underflow():
     for target in (1e100, 1e160, 1e308):
         with pytest.raises(ValueError, match="squared gaps underflow"):
             gen_exponential_ring_grid(4, target, 2)
+
+
+def test_ring_grid_denser_ring_rejection():
+    # At d = 3 one point needs cell 3: the 27-point cube exceeds 6n.
+    with pytest.raises(ValueError, match=r"27 > 6n = 6 points"):
+        gen_exponential_ring_grid(1, 4, 3)
+    with pytest.raises(ValueError, match=r"27 > 6n = 12 points"):
+        gen_exponential_ring_grid(2, 4, 3)
+    assert gen_exponential_ring_grid(4, 4, 2).n == 8
+
+
+def _walk_ring_cells(dim, limit):
+    """The cell search by definition: the largest `limit` values among 3/t
+    and 2/t, each once and in descending order, with the ring's lattice
+    count at each by exact rationals."""
+    cells = {Fraction(num, t) for num in (2, 3) for t in range(1, limit + 1)}
+    for cell in sorted(cells, reverse=True)[:limit]:
+        half = math.floor(3 / cell)  # |m| * cell <= 3
+        hole = math.ceil(2 / cell) - 1  # |m| * cell < 2
+        yield cell, half, hole, (2 * half + 1) ** dim - (2 * hole + 1) ** dim
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ring_cell_matches_the_candidate_walk(monkeypatch, dim):
+    # The first cell holding n points moves only where n passes a count, so
+    # n runs over every count c and c + 1 in ascending order; past the
+    # limit's reach both sides raise.
+    for limit in [*range(1, 201), 997]:
+        monkeypatch.setattr(gens, "_CELL_CANDIDATES", limit)
+        walk = list(_walk_ring_cells(dim, limit))
+        counts = {count for *_, count in walk}
+        k = 0
+        for n in sorted({1} | counts | {c + 1 for c in counts}):
+            while k < len(walk) and walk[k][3] < n:
+                k += 1
+            if k == len(walk):
+                expected = f"no cell size among the largest {limit} holds n={n}"
+            else:
+                cell, half, hole, _ = walk[k]
+                assert cell == Fraction(3, half)  # a hit is always a 3/i
+                expected = (half, hole)
+            assert _outcome(gens._find_ring_cell, n, dim) == expected, (limit, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_ring_count_matches_lattice_enumeration(dim):
+    for i in range(1, 13 if dim < 4 else 6):
+        # m lies outside the open hole exactly when |m| * (3/i) >= 2
+        ring = sum(
+            3 * max(map(abs, m)) >= 2 * i
+            for m in itertools.product(range(-i, i + 1), repeat=dim)
+        )
+        assert gens._ring_count(i, dim) == ring
+
+
+def test_ring_cell_limit_boundary():
+    # The last cell the 2,000,000-candidate limit admits, found by the walk.
+    assert gens._find_ring_cell(1_000_002, 1) == (1_500_000, 999_999)
+    assert gens._find_ring_cell(5_000_010_000_000, 2) == (1_500_000, 999_999)
+    for n, dim in ((1_000_003, 1), (5_000_010_000_001, 2)):
+        with pytest.raises(ValueError, match=f"among the largest 2000000 holds n={n}$"):
+            gens._find_ring_cell(n, dim)
 
 
 # ------------------------------------------------------------ copies
