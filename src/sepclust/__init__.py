@@ -21,7 +21,6 @@ from .algorithms import (
 )
 from .generators import (
     EmbeddingFailed,
-    GeneratorSpec,
     gen_exponential_line,
     gen_exponential_ring_grid,
     gen_grid,

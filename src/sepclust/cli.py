@@ -47,7 +47,7 @@ from .files import (
     read_clustering,
     read_points,
 )
-from .generators import GENERATORS, GeneratorSpec, gen_k_copies
+from .generators import GENERATORS, gen_random_uniform
 from .oracle import (
     OracleBudgetExceeded,
     best_separated_pair,
@@ -107,15 +107,18 @@ def _read(path, colored: bool, user: str):
     return obj
 
 
+def _field(args, name: str):
+    """The value of the GENERATORS field ``name`` on the command line."""
+    if name == "base":
+        return _read(args.input, False, "kcopies")
+    if name == "seed":
+        return _resolve_seed(args.seed)
+    return getattr(args, name)
+
+
 def _cmd_generate(args) -> int:
-    if args.generator == "kcopies":
-        obj = gen_k_copies(_read(args.input, False, "kcopies"), args.k)
-    else:
-        fields = {f: getattr(args, f) for f in GENERATORS[args.generator][1]}
-        if "seed" in fields:
-            fields["seed"] = _resolve_seed(fields["seed"])
-        obj = GeneratorSpec(kind=args.generator, **fields).build()
-    _emit(points_text(obj), args.out)
+    builder, fields = GENERATORS[args.generator]
+    _emit(points_text(builder(*[_field(args, f) for f in fields])), args.out)
     return 0
 
 
@@ -187,41 +190,59 @@ class BenchRow:
 BENCH_COLUMNS = [f.name for f in dataclasses.fields(BenchRow)]
 
 
+# A generated kind's bench label names its fields in this order, which is
+# not the builder's argument order: expgrid:n=32:dim=2:spread=64.0.
+_LABEL_FIELDS = ("side", "n", "dim", "spread", "seed")
+
+
+def _generated(kind: str, **fields):
+    """(label, build) of the GENERATORS kind ``kind`` at ``fields``."""
+    builder, order = GENERATORS[kind]
+    label = ":".join([kind] + [f"{f}={fields[f]}" for f in _LABEL_FIELDS if f in fields])
+    return label, lambda: builder(*[fields[f] for f in order])
+
+
+def _colored_random(k: int, per_color: int):
+    """(label, build) of k * per_color seeded uniform points in the plane,
+    colored 0..k-1 in turn."""
+
+    def build():
+        ps = gen_random_uniform(k * per_color, 2, 13)
+        return ColoredInstance(ps, np.arange(ps.n) % k)
+
+    return f"colored-random:k={k}:per={per_color}:dim=2:seed=13", build
+
+
 def _default_suite():
-    random2 = GeneratorSpec(kind="random", n=600, dim=2, seed=11)
-    grid16 = GeneratorSpec(kind="grid", side=16, dim=2)
-    expline = GeneratorSpec(kind="expline", n=24)
-    expgrid = GeneratorSpec(kind="expgrid", n=32, spread=64.0, dim=2)
+    """Bench entries (label, build, algo, k, sigma)."""
+    random2 = _generated("random", n=600, dim=2, seed=11)
+    grid16 = _generated("grid", side=16, dim=2)
+    colored = _colored_random(3, 200)
     entries = []
     for k in (2, 3):
         for sigma in (1.0, 2.0, 4.0):
-            entries.append((random2, "semi", k, sigma))
-            entries.append((random2, "strong", k, sigma))
+            entries.append((*random2, "semi", k, sigma))
+            entries.append((*random2, "strong", k, sigma))
     for sigma in (1.0, 2.0):
-        entries.append((grid16, "semi", 2, sigma))
-        entries.append((grid16, "strong", 2, sigma))
-    entries.append((expline, "strong", 2, 1.0))
-    entries.append((expgrid, "strong", 2, 2.0))
+        entries.append((*grid16, "semi", 2, sigma))
+        entries.append((*grid16, "strong", 2, sigma))
+    entries.append((*_generated("expline", n=24), "strong", 2, 1.0))
+    entries.append((*_generated("expgrid", n=32, spread=64.0, dim=2), "strong", 2, 2.0))
     for sigma in (1.0, 2.0):
-        entries.append(("colored-random", "semi-colored", 3, sigma))
-        entries.append(("colored-random", "well-colored", 3, sigma))
+        entries.append((*colored, "semi-colored", 3, sigma))
+        entries.append((*colored, "well-colored", 3, sigma))
     return entries
 
 
 def _smoke_suite():
-    random2 = GeneratorSpec(kind="random", n=120, dim=2, seed=5)
+    random2 = _generated("random", n=120, dim=2, seed=5)
+    colored = _colored_random(2, 60)
     return [
-        (random2, "semi", 2, 1.0),
-        (random2, "strong", 2, 1.0),
-        ("colored-random", "semi-colored", 2, 1.0),
-        ("colored-random", "well-colored", 2, 1.0),
+        (*random2, "semi", 2, 1.0),
+        (*random2, "strong", 2, 1.0),
+        (*colored, "semi-colored", 2, 1.0),
+        (*colored, "well-colored", 2, 1.0),
     ]
-
-
-def _colored_random(k: int, per_color: int, dim: int, seed: int) -> ColoredInstance:
-    ps = GeneratorSpec(kind="random", n=k * per_color, dim=dim, seed=seed).build()
-    colors = np.arange(ps.n) % k
-    return ColoredInstance(ps, colors)
 
 
 def bench_rows(suite: str = "default"):
@@ -229,34 +250,27 @@ def bench_rows(suite: str = "default"):
     count and max per-epoch depth of a quorum clustering at the row's alpha."""
     entries = {"default": _default_suite, "smoke": _smoke_suite}[suite]()
     rows = []
-    for gen, algo, k, sigma in entries:
-        if gen == "colored-random":
-            per_color = 200 if suite == "default" else 60
-            inst = _colored_random(k, per_color, 2, seed=13)
-            label = f"colored-random:k={k}:per={per_color}:dim=2:seed=13"
-            obj, ps_union = inst, inst.points
-        else:
-            built = gen.build()
-            label = gen.label()
-            obj, ps_union = built, built
+    for label, build, algo, k, sigma in entries:
+        obj = build()
+        ps = obj.points if isinstance(obj, ColoredInstance) else obj
         fn, _ = _ALGOS[algo]
         cfg = ExtractionConfig(sigma=sigma, k=k)
         t0 = time.perf_counter()
         clustering = fn(obj, cfg)
         wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
-        qc = quorum_clustering(ps_union, clustering.alpha)
+        qc = quorum_clustering(ps, clustering.alpha)
         rows.append(
             BenchRow(
                 generator=label,
-                n=ps_union.n,
-                d=ps_union.dim,
+                n=ps.n,
+                d=ps.dim,
                 k=k,
                 sigma=sigma,
                 algo=algo,
                 alpha=clustering.alpha,
                 quality=quality(clustering),
                 epochs=len(epochs(qc.radii)),
-                max_depth=max_epoch_depth(qc, ps_union),
+                max_depth=max_epoch_depth(qc, ps),
                 verified=True,  # algorithms re-verify before returning
                 wall_ms=wall_ms,
             )

@@ -1,8 +1,8 @@
 """Stable text formats for point sets and clustering results.
 
-Points file: an optional header line ``# dim=<d> colored=<0|1>`` followed by
-one point per line, whitespace separated, 17 significant digits (doubles
-round-trip bit-exactly). Colored files carry the integer color as the first
+Points file: an optional header line ``# dim=<d> colored=<0|1>`` (each key
+at most once) followed by one point per line, whitespace separated, 17
+significant digits (doubles round-trip bit-exactly). Colored files carry the integer color as the first
 field; colors must form the contiguous range 0..k-1. Files without a header
 are read as uncolored with the dimension inferred from the field count.
 
@@ -56,14 +56,21 @@ def points_text(obj) -> str:
 
 
 def _header(line: str):
-    """(dim, colored) from a stripped ``# dim=<d> colored=<0|1>`` line."""
-    dim, colored = None, False
+    """(dim, colored) from a stripped ``# dim=<d> colored=<0|1>`` line; a
+    ValueError if either key repeats or ``colored`` is not exactly 0 or 1.
+    Tokens with another key are ignored."""
+    dim, colored, seen = None, False, set()
     for token in line.lstrip("#").split():
         key, _, value = token.partition("=")
+        if key not in ("dim", "colored"):
+            continue
+        if key in seen or key == "colored" and value not in ("0", "1"):
+            raise ValueError(f"bad header token {token!r}")
+        seen.add(key)
         if key == "dim":
             dim = int(value)
-        elif key == "colored":
-            colored = bool(int(value))
+        else:
+            colored = value == "1"
     return dim, colored
 
 

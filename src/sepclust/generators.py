@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -196,8 +194,8 @@ def gen_random_uniform(n: int, dim: int, seed: int) -> PointSet:
     return PointSet(rng.random((n, dim)))
 
 
-# Every generator kind: its builder and the GeneratorSpec fields passed to it,
-# in argument order. A "base" field is itself a spec, built first.
+# Every generator kind: its builder and the `sepclust generate` fields passed
+# to it, in argument order. "base" is the plain points file read from --input.
 GENERATORS = {
     "grid": (gen_grid, ("side", "dim")),
     "expline": (gen_exponential_line, ("n",)),
@@ -207,44 +205,3 @@ GENERATORS = {
     "nearuniform": (gen_near_uniform_highdim, ("n", "eps", "seed")),
     "random": (gen_random_uniform, ("n", "dim", "seed")),
 }
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative instance description, the currency of the bench suite."""
-
-    kind: str
-    side: Optional[int] = None
-    n: Optional[int] = None
-    dim: Optional[int] = None
-    spread: Optional[float] = None
-    k: Optional[int] = None
-    eps: Optional[float] = None
-    seed: Optional[int] = None
-    base: Optional["GeneratorSpec"] = None
-
-    def __post_init__(self):
-        if self.kind not in GENERATORS:
-            raise ValueError(f"unknown generator kind: {self.kind!r}")
-        if "seed" in GENERATORS[self.kind][1] and self.seed is None:
-            raise ValueError(f"generator {self.kind!r} requires a seed")
-
-    def build(self):
-        builder, fields = GENERATORS[self.kind]
-        args = [self._req(f) for f in fields]
-        args = [a.build() if f == "base" else a for f, a in zip(fields, args)]
-        return builder(*args)
-
-    def _req(self, name: str):
-        value = getattr(self, name)
-        if value is None:
-            raise ValueError(f"generator {self.kind!r} requires {name}")
-        return value
-
-    def label(self) -> str:
-        parts = [self.kind]
-        for name in ("side", "n", "dim", "spread", "k", "eps", "seed"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value}")
-        return ":".join(parts)

@@ -19,7 +19,7 @@ from sepclust.algorithms import (
     strong_separated_k,
     well_separated_k_colored,
 )
-from sepclust.cli import _colored_random, _default_suite, bench_rows, main
+from sepclust.cli import _default_suite, bench_rows, main
 from sepclust.generators import (
     gen_grid,
     gen_exponential_line,
@@ -138,12 +138,11 @@ def test_criterion_4_grid_quality_scaling():
 def test_criterion_5_epoch_count_bound():
     with criterion(5, "epochs <= ceil(log4 spread) + 2 on every benched instance"):
         rows = bench_rows("default")
-        for (gen, _, k, _), row in zip(_default_suite(), rows, strict=True):
+        for (label, build, *_), row in zip(_default_suite(), rows, strict=True):
+            assert row.generator == label
             if row.alpha >= 2:
-                if gen == "colored-random":
-                    ps = _colored_random(k, 200, 2, seed=13).points
-                else:
-                    ps = gen.build()
+                obj = build()
+                ps = obj.points if isinstance(obj, ColoredInstance) else obj
                 bound = math.ceil(math.log(spread(ps), 4)) + 2
                 assert row.epochs <= bound, (
                     f"{row.generator} {row.algo}: {row.epochs} > {bound}"

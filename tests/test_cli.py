@@ -97,7 +97,7 @@ def test_generate_expgrid_denser_ring_exit_2(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "27 > 6n = 6" in err
 
 
-@pytest.mark.parametrize("header", ["# dim=x", "# dim=1 colored=q"])
+@pytest.mark.parametrize("header", ["# dim=x", "# dim=1 colored=q", "# dim=1 colored=2"])
 def test_malformed_header_exit_2(capsys, tmp_path, header):
     pts = tmp_path / "p.txt"
     pts.write_text(f"{header}\n1\n2\n")
@@ -109,6 +109,8 @@ def test_malformed_header_exit_2(capsys, tmp_path, header):
 def test_usage_error_exit_2(capsys):
     assert main(["generate", "grid", "--side", "2"]) == 2  # missing --dim
     assert main(["cluster", "--algo", "bogus"]) == 2
+    code, out, err = run(capsys, "generate", "nope")  # no such generator kind
+    assert code == 2 and out == "" and "'nope'" in err
 
 
 def test_cluster_strong_expline_quality_one(capsys, tmp_path):
@@ -486,6 +488,18 @@ def test_bench_smoke_csv(capsys, tmp_path):
     assert header == cli.BENCH_COLUMNS and len(header) == 12
     assert len(lines) == 5
     assert all(row.split(",")[10] == "true" for row in lines[1:])
+
+
+def test_bench_suite_labels():
+    assert [e[0] for e in cli._default_suite()] == (
+        ["random:n=600:dim=2:seed=11"] * 12
+        + ["grid:side=16:dim=2"] * 4
+        + ["expline:n=24", "expgrid:n=32:dim=2:spread=64.0"]
+        + ["colored-random:k=3:per=200:dim=2:seed=13"] * 4
+    )
+    assert [e[0] for e in cli._smoke_suite()] == (
+        ["random:n=120:dim=2:seed=5"] * 2 + ["colored-random:k=2:per=60:dim=2:seed=13"] * 2
+    )
 
 
 def test_bench_rows_all_verified():

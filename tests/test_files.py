@@ -106,6 +106,16 @@ def test_parse_errors():
     for header in ("# dim=x", "# dim=1 colored=q"):
         with pytest.raises(ValueError, match=f"^line 3: cannot parse header '{header}'$"):
             parse_points(f"\n  \n{header}\n1 2\n")
+    # colored is exactly 0 or 1, and each key comes at most once.
+    for header in (
+        "# dim=1 colored=2",
+        "# dim=1 colored=-1",
+        "# dim=1 colored=01",
+        "# dim=1 dim=2",
+        "# dim=2 colored=1 colored=0",
+    ):
+        with pytest.raises(ValueError, match=f"^line 1: cannot parse header '{header}'$"):
+            parse_points(f"{header}\n1 2\n")
     for color in ("99999999999999999999999", "-99999999999999999999999"):
         with pytest.raises(ValueError, match=f"line 3: color {color} is outside the int64"):
             parse_points(f"# dim=1 colored=1\n0 0\n{color} 1\n")

@@ -9,7 +9,6 @@ import pytest
 import sepclust.generators as gens
 from sepclust.generators import (
     EmbeddingFailed,
-    GeneratorSpec,
     gen_exponential_line,
     gen_exponential_ring_grid,
     gen_grid,
@@ -353,16 +352,3 @@ def test_random_uniform_seeded():
     b = gen_random_uniform(20, 3, 5)
     assert np.array_equal(a.coords, b.coords)
     assert a.coords.min() >= 0.0 and a.coords.max() < 1.0
-
-
-# ----------------------------------------------------- GeneratorSpec
-
-
-def test_generator_spec_build_and_label():
-    spec = GeneratorSpec(kind="grid", side=3, dim=2)
-    assert spec.build().n == 9
-    assert spec.label() == "grid:side=3:dim=2"
-    with pytest.raises(ValueError):
-        GeneratorSpec(kind="random", n=5, dim=2)  # missing seed
-    with pytest.raises(ValueError):
-        GeneratorSpec(kind="nope")
