@@ -51,7 +51,7 @@ from .geometry import (
     closest_pair, pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
-from .separation import Clustering, SeparationKind, check_separation, check_sigma
+from .separation import Clustering, SeparationKind, _int_labels, check_separation, check_sigma
 
 
 class InsufficientPoints(RuntimeError):
@@ -89,7 +89,7 @@ class ColoredInstance:
     def __post_init__(self):
         if not isinstance(self.points, PointSet):
             object.__setattr__(self, "points", PointSet(self.points))
-        colors = np.asarray(self.colors, dtype=int).ravel()
+        colors = _int_labels(self.colors, "colors")
         if colors.shape[0] != self.points.n:
             raise ValueError("colors must label every point")
         if colors.size == 0:

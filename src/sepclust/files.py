@@ -6,13 +6,12 @@ significant digits (doubles round-trip bit-exactly). Colored files carry the int
 field; colors must form the contiguous range 0..k-1. Files without a header
 are read as uncolored with the dimension inferred from the field count.
 
-A regular file is read in bulk: the header on the first line, then every
-line split into the same number of fields, converted by ``map(float, ...)``
-and ``map(int, ...)`` into ``np.fromiter``, so a field is accepted exactly
-when ``float()`` or ``int()`` accepts it. Anything else (a blank or ``#``
-line in the body, mixed widths, a header mismatch, a field that does not
-parse, a color outside int64) is read again line by line, and that reader
-alone words every error.
+Every file is read by one parse: each line is split once, blank lines
+drop, the first nonblank line is the header when it starts with ``#`` and
+any later ``#`` line is a comment. All fields go through ``map(float, ...)``
+(and the color column through ``map(int, ...)``) into ``np.fromiter``, so a
+field is accepted exactly when ``float()`` or ``int()`` accepts it. When one
+is not, a scan of the lines words the error of the first line at fault.
 
 Clustering file: a JSON document with sorted keys holding the declared kind
 and sigma, zero-based cluster index arrays, extraction balls when available,
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -74,89 +74,57 @@ def _header(line: str):
     return dim, colored
 
 
-def _parse_lines(text: str):
-    """(coords, colors or None) read line by line; the source of every error."""
-    dim = None
-    colored = False
-    rows = []
-    saw_header = False
+def _raise_first_error(text: str) -> None:
+    """Raise the error of the first line at fault, in the words and order of
+    a line-by-line read; build nothing."""
+    colored = None  # until the first nonblank line: a header, or a point (False)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
+        if colored is None and line.startswith("#"):
+            try:
+                colored = _header(line)[1]
+            except ValueError:
+                raise ValueError(f"line {lineno}: cannot parse header {line!r}") from None
+        if not line or line.startswith("#"):
             continue
-        if line.startswith("#"):
-            if not saw_header and not rows:
-                saw_header = True
-                try:
-                    dim, colored = _header(line)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: cannot parse header {line!r}") from None
-            continue
+        colored = bool(colored)
         fields = line.split()
         try:
-            if colored:
-                color = int(fields[0])
-                coords = [float(v) for v in fields[1:]]
-            else:
-                color = None
-                coords = [float(v) for v in fields]
-        except (ValueError, IndexError):
+            color = int(fields[0]) if colored else 0
+            list(map(float, fields[colored:]))  # float() raises on a bad field
+        except ValueError:
             raise ValueError(f"line {lineno}: cannot parse point {line!r}") from None
-        if colored and not _MIN_INDEX <= color <= _MAX_INDEX:
+        if not _MIN_INDEX <= color <= _MAX_INDEX:
             raise ValueError(f"line {lineno}: color {color} is outside the int64 range")
-        rows.append((color, coords))
-    if not rows:
-        raise ValueError("points file holds no points")
-    widths = {len(c) for _, c in rows}
-    if len(widths) != 1:
-        raise ValueError("inconsistent coordinate count across lines")
-    width = widths.pop()
-    if dim is not None and width != dim:
-        raise ValueError(f"header says dim={dim} but lines have {width} fields")
-    coords = np.array([c for _, c in rows])
-    if not colored:
-        return coords, None
-    return coords, np.array([c for c, _ in rows], dtype=int)
-
-
-def _parse_bulk(text: str):
-    """(coords, colors or None) for a regular file, or None to read it line
-    by line: an optional header on the first line, then lines that all hold
-    the same number of fields, every one accepted by ``float()`` (and the
-    color by ``int()``). A blank line, a mid-file ``#`` line (``#`` is no
-    number) or anything the line reader would reject returns None."""
-    lines = text.splitlines()
-    dim, colored = None, False
-    try:
-        if lines and lines[0].lstrip().startswith("#"):
-            dim, colored = _header(lines[0].strip())
-            lines = lines[1:]
-        rows = list(map(str.split, lines))
-        width = len(rows[0]) if rows else 0
-        coord_width = width - 1 if colored else width
-        if coord_width < 1 or {width} != set(map(len, rows)):
-            return None
-        if dim is not None and coord_width != dim:
-            return None
-        # The color column goes through float() too; a color that int()
-        # takes and float() rejects would return None, never a wrong value.
-        tokens = list(itertools.chain.from_iterable(rows))
-        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-        values = values.reshape(len(rows), width)
-        if not colored:
-            return values, None
-        colors = np.fromiter(map(int, tokens[::width]), dtype=int, count=len(rows))
-        return values[:, 1:], colors
-    except (ValueError, OverflowError):
-        return None
 
 
 def parse_points(text: str):
-    parsed = _parse_bulk(text)
-    coords, colors = _parse_lines(text) if parsed is None else parsed
-    if colors is None:
-        return PointSet(coords)
-    return ColoredInstance(PointSet(coords), colors)
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    dim, colored = None, False
+    try:
+        if rows and rows[0][0].startswith("#"):
+            dim, colored = _header(" ".join(rows.pop(0)))
+        if text.find("#", 1) >= 0:  # a comment line may follow the header
+            rows = [r for r in rows if not r[0].startswith("#")]
+        # Every field goes through float(), the color too: float() takes
+        # every string that int() takes.
+        tokens = list(itertools.chain.from_iterable(rows))
+        values = np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+        if colored:
+            firsts = map(operator.itemgetter(0), rows)
+            colors = np.fromiter(map(int, firsts), dtype=int, count=len(rows))
+    except (ValueError, OverflowError):
+        _raise_first_error(text)
+        raise  # the scan raises first for every field the parse rejects
+    if not rows:
+        raise ValueError("points file holds no points")
+    if len(set(map(len, rows))) != 1:
+        raise ValueError("inconsistent coordinate count across lines")
+    width = len(rows[0]) - colored
+    if dim is not None and width != dim:
+        raise ValueError(f"header says dim={dim} but lines have {width} fields")
+    points = PointSet(values.reshape(len(rows), -1)[:, int(colored):])
+    return ColoredInstance(points, colors) if colored else points
 
 
 def read_points(path):

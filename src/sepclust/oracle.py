@@ -87,13 +87,16 @@ def exact_min_ball_all(ps: PointSet, max_n: int = 40) -> np.ndarray:
         raise OracleBudgetExceeded(f"d={d} exceeds ball oracle dimension limit 3")
     if d == 1:
         xs = np.sort(ps.coords[:, 0])
+        # The widest window, in Python floats, which overflow to inf quietly.
+        if not np.isfinite(xs[-1].item() - xs[0].item()):
+            raise ValueError("coordinates must be finite")
         out = np.empty(n)
         for alpha in range(1, n + 1):
             out[alpha - 1] = 0.5 * (xs[alpha - 1 :] - xs[: n - alpha + 1]).min()
         return out
     with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates
         centers, radii = _candidate_balls(ps.coords)
-    if not np.isfinite(centers).all():  # a midpoint or circumcenter overflowed
+    if not (np.isfinite(centers).all() and np.isfinite(radii).all()):  # an overflow
         raise ValueError("coordinates must be finite")
     lim = radii * (1.0 + REL_TOL)
     counts = np.zeros(centers.shape[0], dtype=int)

@@ -33,6 +33,15 @@ def check_sigma(sigma) -> float:
     return s
 
 
+def _int_labels(values, what: str) -> np.ndarray:
+    """``values`` as a flat int array; a ValueError unless their dtype is a
+    signed or unsigned integer (bool is not). Empty input passes through."""
+    arr = np.asarray(values).ravel()
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(int, copy=False)
+
+
 class SeparationKind(Enum):
     STRONG = "strong"
     WELL = "well"
@@ -75,7 +84,7 @@ class Clustering:
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
         if not isinstance(self.kind, SeparationKind):
             object.__setattr__(self, "kind", SeparationKind.parse(self.kind))
-        clusters = tuple(np.asarray(c, dtype=int).ravel() for c in self.clusters)
+        clusters = tuple(_int_labels(c, "cluster indices") for c in self.clusters)
         if len(clusters) < 1:
             raise ValueError("need at least one cluster")
         n = self.points.n
@@ -92,7 +101,7 @@ class Clustering:
             raise ValueError("clusters must be pairwise disjoint")
         object.__setattr__(self, "clusters", clusters)
         if self.colors is not None:
-            colors = np.asarray(self.colors, dtype=int).ravel()
+            colors = _int_labels(self.colors, "colors")
             if colors.shape[0] != n:
                 raise ValueError("colors must label every point")
             for i, c in enumerate(clusters):

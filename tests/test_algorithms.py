@@ -554,6 +554,13 @@ def test_colored_instance_validation():
     assert inst.color_indices(1).tolist() == [0, 2]
 
 
+@pytest.mark.parametrize("colors", [[0.7, 1.2, 1.9], [False, True, True]])
+def test_colored_instance_rejects_non_integer_colors(colors):
+    # [0.7, 1.2, 1.9] was truncated to the colors [0, 1, 1].
+    with pytest.raises(ValueError, match="colors must be integers"):
+        ColoredInstance(PointSet([0.0, 1.0, 2.0]), colors)
+
+
 def _naive_semi(coords, k, sigma, alpha):
     # literal restatement: per iteration, re-partition the survivor
     # submatrix, keep the alpha nearest (lexsort by distance then index)

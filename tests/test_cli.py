@@ -418,6 +418,19 @@ def test_oracle_min_ball_overflowing_midpoint_exit_2(capsys, tmp_path, dim):
     assert (code, out, err) == (2, "", "error: coordinates must be finite\n")
 
 
+@pytest.mark.parametrize("lines, alpha", [
+    (("-1e308 0", "1e308 1", "0 1", "5 5"), "4"),
+    (("-1e308", "1e308", "3"), "3"),
+])
+def test_oracle_min_ball_overflowing_radius_exit_2(capsys, tmp_path, lines, alpha):
+    # The ball (d = 2) or window (d = 1) spanning -1e308 and 1e308 has an
+    # infinite radius; the oracle rejects it rather than answer inf.
+    pts = tmp_path / "p.txt"
+    pts.write_text("".join(f"{p}\n" for p in lines))
+    code, out, err = run(capsys, "oracle", "min-ball", "--in", str(pts), "--alpha", alpha)
+    assert (code, out, err) == (2, "", "error: coordinates must be finite\n")
+
+
 @pytest.mark.parametrize(
     "argv, colored",
     [

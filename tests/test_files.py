@@ -3,13 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sepclust import files
 from sepclust.algorithms import (
     ColoredInstance,
     ExtractionConfig,
     semi_separated_k,
 )
 from sepclust.files import (
+    _MAX_INDEX,
+    _MIN_INDEX,
+    _header,
     clustering_from_payload,
     clustering_payload,
     clustering_text,
@@ -121,17 +123,55 @@ def test_parse_errors():
             parse_points(f"# dim=1 colored=1\n0 0\n{color} 1\n")
 
 
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-def test_written_files_take_the_bulk_path(newline):
-    inst = gen_three_color_line(4)
-    for obj in (gen_random_uniform(30, 3, 2), inst):
-        text = points_text(obj).replace("\n", newline)
-        assert files._parse_bulk(text) is not None
-        assert files._parse_bulk(text.split(newline, 1)[1]) is not None  # no header
+def _parse_lines(text: str):
+    """(coords, colors or None) read line by line; the source of every error."""
+    dim = None
+    colored = False
+    rows = []
+    saw_header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if not saw_header and not rows:
+                saw_header = True
+                try:
+                    dim, colored = _header(line)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: cannot parse header {line!r}") from None
+            continue
+        fields = line.split()
+        try:
+            if colored:
+                color = int(fields[0])
+                coords = [float(v) for v in fields[1:]]
+            else:
+                color = None
+                coords = [float(v) for v in fields]
+        except (ValueError, IndexError):
+            raise ValueError(f"line {lineno}: cannot parse point {line!r}") from None
+        if colored and not _MIN_INDEX <= color <= _MAX_INDEX:
+            raise ValueError(f"line {lineno}: color {color} is outside the int64 range")
+        rows.append((color, coords))
+    if not rows:
+        raise ValueError("points file holds no points")
+    widths = {len(c) for _, c in rows}
+    if len(widths) != 1:
+        raise ValueError("inconsistent coordinate count across lines")
+    width = widths.pop()
+    if dim is not None and width != dim:
+        raise ValueError(f"header says dim={dim} but lines have {width} fields")
+    coords = np.array([c for _, c in rows])
+    if not colored:
+        return coords, None
+    return coords, np.array([c for c, _ in rows], dtype=int)
 
 
 def _read_by_lines(text):
-    coords, colors = files._parse_lines(text)
+    # The line-by-line reader that parse_points replaced, kept as the
+    # reference for its results and its errors.
+    coords, colors = _parse_lines(text)
     return PointSet(coords) if colors is None else ColoredInstance(PointSet(coords), colors)
 
 
@@ -155,8 +195,8 @@ _BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c"]
 
 @st.composite
 def _points_files(draw):
-    # Mostly regular files, which the bulk path reads, with some irregular
-    # lines mixed in, which send the whole file to the line reader.
+    # Mostly regular files with some irregular lines mixed in: blank,
+    # ragged, comment and unparsable lines.
     dim = draw(st.integers(1, 3))
     colored = draw(st.booleans())
     header = draw(st.sampled_from([
@@ -186,13 +226,21 @@ def _points_files(draw):
 @example(text="1 2\n3\n4 5 6\n")  # ragged lines whose tokens fill a 3 x 2 array
 @example(text="# dim=1 colored=1\n0 1 2\n1\n")
 def test_bulk_reader_agrees_with_line_reader(text):
-    bulk = files._parse_bulk(text)
-    if bulk is not None:
-        coords, colors = files._parse_lines(text)  # must not raise
-        assert bulk[0].tobytes() == coords.tobytes() and bulk[0].shape == coords.shape
-        assert (bulk[1] is None) == (colors is None)
-        assert colors is None or bulk[1].tolist() == colors.tolist()
     assert _outcome(parse_points, text) == _outcome(_read_by_lines, text)
+
+
+@pytest.mark.parametrize("newline", _BREAKS)
+def test_irregular_layout_reads_as_regular(newline):
+    # Blank lines (leading, inner, trailing), an inner comment and tabs
+    # change nothing: the file reads bit-identically to its regular form.
+    for obj in (gen_random_uniform(30, 3, 2), gen_three_color_line(4)):
+        regular = points_text(obj)
+        header, *lines = regular.splitlines()
+        lines.insert(len(lines) // 2, "")
+        lines.insert(len(lines) // 3, "  # a comment")
+        lines[1] = "\t" + lines[1].replace(" ", "\t ")
+        text = newline.join(["", " ", header, "", *lines, "", "\t"]) + newline
+        assert _outcome(parse_points, text) == _outcome(parse_points, regular)
 
 
 def test_file_io(tmp_path):

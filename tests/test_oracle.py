@@ -121,6 +121,17 @@ def test_min_ball_overflowing_center_is_rejected(d):
         exact_min_ball_all(PointSet(coords))
 
 
+@pytest.mark.parametrize("coords", [
+    [[-1e308, 0.0], [1e308, 1.0], [0.0, 1.0], [5.0, 5.0]],
+    [[-1e308], [1e308], [3.0]],
+])
+def test_min_ball_overflowing_radius_is_rejected(coords):
+    # Every center is finite, but the radius of the ball (the width of the
+    # window for d = 1) spanning -1e308 and 1e308 overflows to inf.
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        exact_min_ball_all(PointSet(np.array(coords)))
+
+
 def test_oracle_budgets_are_checked_first():
     # A budget below one is refused before sigma or alpha is looked at.
     ps = PointSet([0.0, 1.0, 5.0])

@@ -115,6 +115,21 @@ def test_pair_margins_report():
     assert row["ok"] and row["ratio"] == pytest.approx(3.0)
 
 
+def test_clustering_rejects_non_integer_indices():
+    # Floats were truncated to indices (0.9 -> 0) and bools read as 0 and 1.
+    pts = PointSet([0.0, 1.0, 2.0])
+    for clusters in (([0.9], [1.5]), ([True], [False]), ([0], [1.0])):
+        with pytest.raises(ValueError, match="cluster indices must be integers"):
+            Clustering(pts, clusters, 1.0, "semi")
+    with pytest.raises(ValueError, match="colors must be integers"):
+        Clustering(pts, ([0], [1]), 1.0, "semi", colors=[0.0, 1.0, 1.0])
+    # An empty list has a float dtype; it is still an empty cluster.
+    with pytest.raises(ValueError, match="clusters must be nonempty"):
+        Clustering(pts, ([0], []), 1.0, "semi")
+    ok = Clustering(pts, ([0], np.array([1], dtype=np.int32)), 1.0, "semi")
+    assert [c.dtype for c in ok.clusters] == [np.dtype(int)] * 2
+
+
 def test_clustering_validation():
     pts = PointSet([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
