@@ -14,6 +14,13 @@ the surviving points, its alpha nearest points, and removal. The rule is
 * ``well_separated_k_colored``: per-color quorum clusterings merged by the
   selector; well separation.
 
+All four share one contract. ``_front`` checks the input and builds its
+groups (each color class, or all points): global indices, coordinates and
+distance matrix. ``run(alpha)`` returns picks (group, center, radius,
+members) indexed within a group, and rejects a radius beyond the double
+range. ``_verified`` alone builds the clustering from the returned alpha's
+picks: global indices, clusters ordered by group, one ``Ball`` per pick.
+
 Alpha (the per-cluster size target) is either explicit, derived from a
 caller-supplied constant c, or found automatically by doubling then binary
 search, under one policy for all four (``_verified``). With m = n, or the
@@ -130,8 +137,8 @@ class ExtractionConfig:
     infeasible, or the cap; see ``_search_max_alpha``). ``c_override``
     instead derives alpha from the classical formula with the given constant;
     it is mutually exclusive with an explicit alpha. ``k`` and an explicit
-    ``alpha`` are integers >= 1 and ``c_override`` is finite and > 0 (else a
-    ValueError, as for a sigma that fails ``check_sigma``).
+    ``alpha`` are integers >= 1, not ``bool``, and ``c_override`` is finite
+    and > 0 (else a ValueError, as for a sigma that fails ``check_sigma``).
     """
 
     sigma: float
@@ -142,7 +149,7 @@ class ExtractionConfig:
     def __post_init__(self):
         check_sigma(self.sigma)
         for name, value in (("k", self.k), ("alpha", self.alpha)):
-            if value is not None and not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
@@ -229,49 +236,47 @@ def _has_duplicates(coords: np.ndarray) -> bool:
     return bool((rows[1:] == rows[:-1]).all(axis=1).any())
 
 
-def _plain_front(points, cfg: ExtractionConfig, kind: SeparationKind):
-    """The input as a PointSet with at least k points, and its distance matrix.
-
-    Strong separation's duplicate check runs before the matrix is built.
+def _front(obj, cfg: ExtractionConfig, kind: SeparationKind):
+    """The input and its groups: (global indices, coordinates, distance
+    matrix) of each color class, or of all points on plain input. Every input
+    check, the duplicate check of strong and well included, runs first.
     """
-    if not isinstance(points, PointSet):
-        points = PointSet(points)
-    if points.n < cfg.k:
-        raise ValueError(f"need at least k={cfg.k} points, got {points.n}")
-    if kind is SeparationKind.STRONG and _has_duplicates(points.coords):
-        raise ValueError("spread undefined: point set contains duplicates")
-    return points, pairwise_distances(points.coords)
+    colored = isinstance(obj, ColoredInstance)
+    if colored:
+        if obj.k != cfg.k:
+            raise ValueError(f"config k={cfg.k} but instance has {obj.k} colors")
+        if kind is SeparationKind.WELL and len(set(obj.sizes)) != 1:
+            raise ValueError("well-separated colored extraction needs equal color sizes")
+        points, g_idx = obj.points, [obj.color_indices(c) for c in range(cfg.k)]
+    else:
+        obj = points = obj if isinstance(obj, PointSet) else PointSet(obj)
+        if points.n < cfg.k:
+            raise ValueError(f"need at least k={cfg.k} points, got {points.n}")
+        g_idx = [np.arange(points.n)]
+    if kind is not SeparationKind.SEMI and _has_duplicates(points.coords):
+        dup = "union contains duplicate points" if colored else "point set contains duplicates"
+        raise ValueError(f"spread undefined: {dup}")
+    coords = [points.coords[g] for g in g_idx]
+    return obj, [(g, cc, pairwise_distances(cc)) for g, cc in zip(g_idx, coords)]
 
 
-def _color_front(inst: ColoredInstance, cfg: ExtractionConfig, kind: SeparationKind):
-    """Per-color global indices, coordinates and distance matrices.
-
-    Every input check, well separation's included, runs before the first
-    distance matrix is built.
-    """
-    k = cfg.k
-    if inst.k != k:
-        raise ValueError(f"config k={k} but instance has {inst.k} colors")
-    well = kind is SeparationKind.WELL
-    if well and len(set(inst.sizes)) != 1:
-        raise ValueError("well-separated colored extraction needs equal color sizes")
-    if well and _has_duplicates(inst.points.coords):
-        raise ValueError("spread undefined: union contains duplicate points")
-    g_idx = [inst.color_indices(c) for c in range(k)]
-    coords_c = [inst.points.coords[g] for g in g_idx]
-    return g_idx, coords_c, [pairwise_distances(cc) for cc in coords_c]
+def _finite(r: float) -> float:
+    if not math.isfinite(r):  # no ball certifies a radius beyond the double range
+        raise ValueError("ball radius must be finite and nonnegative")
+    return r
 
 
-def _verified(obj, cfg: ExtractionConfig, kind: SeparationKind, run: Callable) -> Clustering:
+def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> Clustering:
     """Resolve alpha under the one policy, run, and self-check the clustering.
 
-    ``obj`` is a PointSet (m = n, cap n // k) or a ColoredInstance (m = the
-    smallest color size, cap m); ``run(alpha)`` returns (clusters, balls).
+    ``obj`` and ``groups`` come from ``_front``; m is the smallest group's
+    size, and alpha's cap is m on colored input, else m // k. Only the
+    returned alpha's picks become clusters (ordered by group, then by pick).
     """
     colored = isinstance(obj, ColoredInstance)
     points = obj.points if colored else obj
     k, sigma = cfg.k, float(cfg.sigma)
-    m = min(obj.sizes) if colored else points.n
+    m = min(g.size for g, _, _ in groups)
 
     def formula(c: float) -> int:
         try:
@@ -290,12 +295,12 @@ def _verified(obj, cfg: ExtractionConfig, kind: SeparationKind, run: Callable) -
         q = min(q, points.n + 1)
         return math.ceil(q) if kind is SeparationKind.SEMI else math.floor(q)
 
-    alpha, (clusters, balls) = _resolve_alpha(
-        cfg, run, cap=m if colored else m // k, formula=formula
-    )
+    alpha, picks = _resolve_alpha(cfg, run, cap=m if colored else m // k, formula=formula)
+    picks = sorted(picks, key=lambda pick: pick[0])
     clustering = Clustering(
-        points=points, clusters=tuple(clusters), sigma=cfg.sigma, kind=kind,
-        colors=obj.colors if colored else None, balls=tuple(balls), alpha=alpha,
+        points=points, clusters=tuple(groups[g][0][mem] for g, _, _, mem in picks),
+        sigma=cfg.sigma, kind=kind, colors=obj.colors if colored else None,
+        balls=tuple(Ball(groups[g][1][c].copy(), r) for g, c, r, _ in picks), alpha=alpha,
     )
     if not check_separation(clustering):
         raise VerificationFailed(f"{kind.value} separation re-check failed (internal error)")
@@ -311,23 +316,22 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     Later clusters therefore sit at distance >= 2 sigma r_i from cluster i,
     which is at least sigma times its diameter.
     """
-    points, dist = _plain_front(points, cfg, SeparationKind.SEMI)
-    coords, k = points.coords, cfg.k
-    scale = 2.0 * float(cfg.sigma) + 2.0
+    points, groups = _front(points, cfg, SeparationKind.SEMI)
+    (_, _, dist), = groups
+    k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
         engine = DenseBalls(dist, alpha)
-        clusters, balls = [], []
+        picks = []
         for it in range(k):
             if engine.alive.size < alpha:
                 raise InsufficientPoints(it)
             center, r = engine.smallest()
-            clusters.append(engine.nearest(center, r))
-            balls.append(Ball(coords[center].copy(), r))
+            picks.append((0, center, _finite(r), engine.nearest(center, r)))
             engine.remove(engine.within(center, scale * r * (1.0 + REL_TOL)))
-        return clusters, balls
+        return picks
 
-    return _verified(points, cfg, SeparationKind.SEMI, run)
+    return _verified(points, groups, cfg, SeparationKind.SEMI, run)
 
 
 def semi_separated_k_colored(
@@ -340,15 +344,13 @@ def semi_separated_k_colored(
     with the alpha covered points nearest the center, and removes points of
     the remaining active colors inside the (2 sigma + 2)-scaled ball.
     """
-    g_idx, coords_c, dist_c = _color_front(inst, cfg, SeparationKind.SEMI)
-    k = cfg.k
-    scale = 2.0 * float(cfg.sigma) + 2.0
+    inst, groups = _front(inst, cfg, SeparationKind.SEMI)
+    k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
-        engines = [DenseBalls(dc, alpha) for dc in dist_c]
+        engines = [DenseBalls(dist, alpha) for _, _, dist in groups]
         active = list(range(k))
-        out_clusters = [None] * k
-        out_balls = [None] * k
+        picks = []
         for it in range(k):
             best = None
             for c in active:
@@ -358,18 +360,17 @@ def semi_separated_k_colored(
                 if best is None or (r, c) < best[:2]:
                     best = (r, c, ctr)
             r, c0, ctr = best
-            out_clusters[c0] = g_idx[c0][engines[c0].nearest(ctr, r)]
-            out_balls[c0] = Ball(coords_c[c0][ctr].copy(), r)
+            picks.append((c0, ctr, _finite(r), engines[c0].nearest(ctr, r)))
             active.remove(c0)
             cut = scale * r * (1.0 + REL_TOL)
-            center_pt = coords_c[c0][ctr]
+            center_pt = groups[c0][1][ctr]
             for c2 in active:
                 idx2 = engines[c2].alive
-                d2 = _distances_to(coords_c[c2][idx2], center_pt)
+                d2 = _distances_to(groups[c2][1][idx2], center_pt)
                 engines[c2].remove(idx2[d2 <= cut])
-        return out_clusters, out_balls
+        return picks
 
-    return _verified(inst, cfg, SeparationKind.SEMI, run)
+    return _verified(inst, groups, cfg, SeparationKind.SEMI, run)
 
 
 def _select_separated(
@@ -421,8 +422,9 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     All cluster diameters are at most ``2 r_hat``, so the kept gaps certify
     strong separation, and every cluster holds exactly alpha points.
     """
-    points, dist = _plain_front(points, cfg, SeparationKind.STRONG)
-    coords, k, sigma = points.coords, cfg.k, float(cfg.sigma)
+    points, groups = _front(points, cfg, SeparationKind.STRONG)
+    (_, coords, dist), = groups
+    k, sigma = cfg.k, float(cfg.sigma)
 
     def run(alpha: int):
         qc = _quorum_steps(dist, alpha)
@@ -430,14 +432,10 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
             raise InsufficientPoints(0)
         cand = np.arange(*max(epochs(qc.radii), key=lambda se: se[1] - se[0]))
         centers, rads = qc.centers[cand], qc.radii[cand]
-        picked = _select_separated(
-            coords[centers], rads, None, k, sigma, r_floor=float(rads.max())
-        )
-        clusters = [qc.members[cand[t]] for t in picked]
-        balls = [Ball(coords[centers[t]].copy(), rads[t]) for t in picked]
-        return clusters, balls
+        picked = _select_separated(coords[centers], rads, None, k, sigma, r_floor=float(rads.max()))
+        return [(0, centers[t], rads[t], qc.members[cand[t]]) for t in picked]
 
-    return _verified(points, cfg, SeparationKind.STRONG, run)
+    return _verified(points, groups, cfg, SeparationKind.STRONG, run)
 
 
 def well_separated_k_colored(
@@ -452,22 +450,20 @@ def well_separated_k_colored(
     ``2 sigma max(r_i, r_j)``). Erroring out as soon as an unserved color has
     no balls left keeps failures deterministic.
     """
-    g_idx, coords_c, dist_c = _color_front(inst, cfg, SeparationKind.WELL)
+    inst, groups = _front(inst, cfg, SeparationKind.WELL)
     k, sigma = cfg.k, float(cfg.sigma)
 
     def run(alpha: int):
-        qcs = [_quorum_steps(dc, alpha) for dc in dist_c]
+        qcs = [_quorum_steps(dist, alpha) for _, _, dist in groups]
         colors = np.repeat(np.arange(k), [len(qc) for qc in qcs])
         ctrs = np.concatenate([qc.centers for qc in qcs])
         rads = np.concatenate([qc.radii for qc in qcs])
-        pts = np.concatenate([cc[qc.centers] for cc, qc in zip(coords_c, qcs)])
-        out_clusters = [None] * k
-        out_balls = [None] * k
+        pts = np.concatenate([g[1][qc.centers] for g, qc in zip(groups, qcs)])
+        picks = []
         for t in _select_separated(pts, rads, colors, k, sigma, r_floor=0.0):
-            c0 = colors[t]
-            covered = np.flatnonzero(dist_c[c0][ctrs[t]] <= rads[t])
-            out_clusters[c0] = g_idx[c0][covered]
-            out_balls[c0] = Ball(pts[t].copy(), rads[t])
-        return out_clusters, out_balls
+            c = colors[t]
+            covered = np.flatnonzero(groups[c][2][ctrs[t]] <= rads[t])
+            picks.append((c, ctrs[t], _finite(rads[t]), covered))
+        return picks
 
-    return _verified(inst, cfg, SeparationKind.WELL, run)
+    return _verified(inst, groups, cfg, SeparationKind.WELL, run)

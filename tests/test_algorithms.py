@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +542,11 @@ def test_config_validation():
         ExtractionConfig(sigma=1.0, k=2.5)
     with pytest.raises(ValueError, match="alpha must be an integer"):
         ExtractionConfig(sigma=1.0, k=1, alpha=2.5)
+    # bool is a numbers.Integral, but True is no count of clusters or points
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ExtractionConfig(sigma=1.0, k=True)
+    with pytest.raises(ValueError, match="alpha must be an integer"):
+        ExtractionConfig(sigma=1.0, k=1, alpha=True)
     # numpy integers are integers
     cfg = ExtractionConfig(sigma=1.0, k=np.int64(2), alpha=np.int32(3))
     assert semi_separated_k(three_groups_1d(), cfg).alpha == 3
@@ -687,3 +693,62 @@ def test_semi_colored_engine_matches_naive_reference(k, sigma):
                 lambda a: _naive_semi_colored(inst, k, sigma, a),
                 alpha,
             )
+
+
+@pytest.mark.parametrize(
+    "fn", [semi_separated_k, semi_separated_k_colored, well_separated_k_colored]
+)
+def test_infinite_pick_radius_ends_the_alpha_search(monkeypatch, fn):
+    # Distinct points 1e300 apart are at distance inf, so every ball of two
+    # points has an infinite radius. The probe that picks one raises, so auto
+    # mode stops at alpha = 2 instead of climbing to the cap.
+    probes = []
+    resolve = algorithms._resolve_alpha
+
+    def spy(cfg, run, cap, formula):
+        return resolve(cfg, lambda a: probes.append(a) or run(a), cap, formula)
+
+    monkeypatch.setattr(algorithms, "_resolve_alpha", spy)
+    ps = PointSet([[1e300, 0.0], [-1e300, 0.0], [0.0, 1e300], [0.0, -1e300]])
+    obj = ps if fn is semi_separated_k else ColoredInstance(ps, np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="^ball radius must be finite and nonnegative$"):
+        fn(obj, ExtractionConfig(sigma=2.0, k=1))
+    assert probes == [1, 2]
+
+
+def test_matrices_and_balls_are_built_in_one_place():
+    # The front builds every distance matrix and the assembly every ball, so
+    # no run(alpha) builds either once per probe.
+    where, calls = None, set()
+    for line in Path(algorithms.__file__).read_text().splitlines():
+        if line.startswith(("def ", "class ")):
+            where = line.split()[1].split("(")[0].rstrip(":")
+        calls |= {(name, where) for name in ("pairwise_distances(", "Ball(") if name in line}
+    assert calls == {("pairwise_distances(", "_front"), ("Ball(", "_verified")}
+
+
+def _largest_feasible_alpha(fn, ps, cfg):
+    for alpha in range(ps.n // cfg.k, 0, -1):
+        try:
+            fn(ps, ExtractionConfig(sigma=cfg.sigma, k=cfg.k, alpha=alpha))
+            return alpha
+        except algorithms._INFEASIBLE:
+            pass
+    return 0
+
+
+def test_auto_alpha_gap_on_the_desk_grid():
+    # Feasibility is not downward closed, so auto mode may stop below the
+    # largest feasible alpha. On this fixed grid of 720 configs it falls short
+    # of an exhaustive scan down from n // k in 93 strong and 11 semi
+    # configs; a change that widens either gap fails here.
+    short = {"strong": 0, "semi": 0}
+    grid = itertools.product((1, 2), (2, 3), (1.0, 2.0, 4.0), range(60))
+    for dim, k, sigma, seed in grid:
+        ps = gen_random_uniform(60, dim, seed)
+        cfg = ExtractionConfig(sigma=sigma, k=k)
+        for name, fn in (("strong", strong_separated_k), ("semi", semi_separated_k)):
+            auto, best = fn(ps, cfg).alpha, _largest_feasible_alpha(fn, ps, cfg)
+            assert 1 <= auto <= best, (name, dim, k, sigma, seed)
+            short[name] += auto < best
+    assert short["strong"] <= 93 and short["semi"] <= 11, short

@@ -251,6 +251,49 @@ def test_huge_coordinates_write_no_warning(tmp_path):
     assert len(errors) == 3 and all(e.startswith("error: ") for e in errors), proc.stderr
 
 
+_RADIUS = "error: ball radius must be finite and nonnegative\n"
+_HUGE = ["1e300 0", "-1e300 0", "0 1e300", "0 -1e300", "1 1", "2 2"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_overflowing_distances_exit_codes(tmp_path, k):
+    # Points 1e300 apart on the axes are at distance inf in the kernel. Semi
+    # and semi-colored reject an infinite radius at the pick that takes it,
+    # which ends auto mode with exit 2 instead of a smaller alpha; strong's
+    # epochs reject infinite radii. Well-colored never picks an infinite ball
+    # beside another color (the gap to it is nan or -inf), so it exits 2 only
+    # at k = 1.
+    plain, colored = tmp_path / "p.txt", tmp_path / "c.txt"
+    plain.write_text("# dim=2 colored=0\n" + "\n".join(_HUGE) + "\n")
+    colored.write_text(
+        "# dim=2 colored=1\n" + "".join(f"{i % k} {p}\n" for i, p in enumerate(_HUGE))
+    )
+    want = {
+        ("semi", plain): [2, _RADIUS],
+        ("strong", plain): [2, "error: radii must be finite and nonnegative\n"],
+        ("semi-colored", colored): [2, _RADIUS],
+        ("well-colored", colored): [2, _RADIUS] if k == 1 else [0, ""],
+    }
+    calls = [["cluster", "--algo", algo, "--k", str(k), "--sigma", "2", "--in", str(path),
+              "--out", str(tmp_path / "c.json")] for algo, path in want]
+    env = dict(os.environ, PYTHONWARNINGS="always",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, json, sys; from sepclust.cli import main\n"
+         "got = []\n"
+         "for argv in json.loads(sys.argv[1]):\n"
+         "    err = io.StringIO()\n"
+         "    with contextlib.redirect_stderr(err):\n"
+         "        got.append([main(argv), err.getvalue()])\n"
+         "print(json.dumps(got))",
+         json.dumps(calls)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert json.loads(proc.stdout) == list(want.values())
+
+
 @pytest.mark.parametrize("color", ["99999999999999999999999", "-99999999999999999999999"])
 def test_color_outside_int64_exit_2(capsys, tmp_path, color):
     pts, cl = tmp_path / "p.txt", tmp_path / "c.json"
