@@ -236,12 +236,16 @@ def _has_duplicates(coords: np.ndarray) -> bool:
     return bool((rows[1:] == rows[:-1]).all(axis=1).any())
 
 
-def _front(obj, cfg: ExtractionConfig, kind: SeparationKind):
+def _front(obj, cfg: ExtractionConfig, kind: SeparationKind, colored: bool):
     """The input and its groups: (global indices, coordinates, distance
     matrix) of each color class, or of all points on plain input. Every input
-    check, the duplicate check of strong and well included, runs first.
+    check, the duplicate check of strong and well included, runs first; an
+    input of the other type (``colored`` says which is expected) is a
+    TypeError.
     """
-    colored = isinstance(obj, ColoredInstance)
+    if isinstance(obj, ColoredInstance) != colored:
+        want = "a ColoredInstance" if colored else "a PointSet or (n, d) coordinates"
+        raise TypeError(f"expected {want}, got {type(obj).__name__}")
     if colored:
         if obj.k != cfg.k:
             raise ValueError(f"config k={cfg.k} but instance has {obj.k} colors")
@@ -258,6 +262,18 @@ def _front(obj, cfg: ExtractionConfig, kind: SeparationKind):
         raise ValueError(f"spread undefined: {dup}")
     coords = [points.coords[g] for g in g_idx]
     return obj, [(g, cc, pairwise_distances(cc)) for g, cc in zip(g_idx, coords)]
+
+
+def _matrix_spread(dist: np.ndarray) -> float:
+    """``spread`` of the points whose distance matrix is ``dist`` (at least
+    two points, no duplicates), bit for bit: sqrt is monotone, so the
+    matrix's largest entry is the diameter and its smallest off-diagonal
+    entry the closest pair. The n(n - 1) off-diagonal entries are read as one
+    (n - 1, n) view, without a copy.
+    """
+    n = dist.shape[0]
+    off = dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    return float(dist.max() / off.min())
 
 
 def _finite(r: float) -> float:
@@ -284,8 +300,9 @@ def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> 
         except OverflowError:  # sigma^d beyond a double: the formula is below one
             return 1
         log_phi = 1.0
-        if kind is not SeparationKind.SEMI:
-            phi = spread(points) if points.n >= 2 else 1.0
+        if kind is not SeparationKind.SEMI and points.n >= 2:
+            # Strong's one group is all points, and its matrix holds Phi.
+            phi = _matrix_spread(groups[0][2]) if kind is SeparationKind.STRONG else spread(points)
             log_phi = max(1.0, math.log2(phi))
         denom = k * sd * log_phi
         q = c * m / denom if denom else math.inf
@@ -316,7 +333,7 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     Later clusters therefore sit at distance >= 2 sigma r_i from cluster i,
     which is at least sigma times its diameter.
     """
-    points, groups = _front(points, cfg, SeparationKind.SEMI)
+    points, groups = _front(points, cfg, SeparationKind.SEMI, colored=False)
     (_, _, dist), = groups
     k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
 
@@ -344,7 +361,7 @@ def semi_separated_k_colored(
     with the alpha covered points nearest the center, and removes points of
     the remaining active colors inside the (2 sigma + 2)-scaled ball.
     """
-    inst, groups = _front(inst, cfg, SeparationKind.SEMI)
+    inst, groups = _front(inst, cfg, SeparationKind.SEMI, colored=True)
     k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
@@ -422,7 +439,7 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     All cluster diameters are at most ``2 r_hat``, so the kept gaps certify
     strong separation, and every cluster holds exactly alpha points.
     """
-    points, groups = _front(points, cfg, SeparationKind.STRONG)
+    points, groups = _front(points, cfg, SeparationKind.STRONG, colored=False)
     (_, coords, dist), = groups
     k, sigma = cfg.k, float(cfg.sigma)
 
@@ -450,7 +467,7 @@ def well_separated_k_colored(
     ``2 sigma max(r_i, r_j)``). Erroring out as soon as an unserved color has
     no balls left keeps failures deterministic.
     """
-    inst, groups = _front(inst, cfg, SeparationKind.WELL)
+    inst, groups = _front(inst, cfg, SeparationKind.WELL, colored=True)
     k, sigma = cfg.k, float(cfg.sigma)
 
     def run(alpha: int):

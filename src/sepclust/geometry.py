@@ -31,6 +31,14 @@ REL_TOL = 1e-9
 # kernel's passes over a block stay in a core's L2 cache.
 _BLOCK = 1 << 16
 
+# Elements of numpy's ufunc buffer while a scan of more than one block
+# computes a block. At numpy's default of 8,192 the kernel's broadcast
+# subtract is buffered across rows in every block narrower than about
+# 8,192 / 3 = 2,730 columns, and the kernel runs 2-3x slower per element; at
+# 256 only below 86 columns, where the default is no faster
+# (BENCH_kernel.json).
+_BUFSIZE = 256
+
 
 def _block_rows(m: int) -> int:
     """Rows per block for a scan against ``m`` columns under the budget."""
@@ -141,16 +149,22 @@ def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp: np.ndarray):
     return out
 
 
-def _sq_blocks(a: np.ndarray, b, out=None):
+def _sq_blocks(a: np.ndarray, b):
     """Squared distances between the rows of ``a`` and of ``b``, by row block.
 
-    Yields, for each row range ``s:e``, the block with ``block[i, j]`` the
-    squared distance from ``a[s + i]`` to ``b[j]``. Blocks are written into
-    the rows of ``out`` when given, else into one reused buffer. With ``b``
-    None the scan is of ``a`` against itself and reaches each pair once: the
-    block of rows ``s:e`` holds the columns ``s:`` only, so ``block[i, j]``
-    is the squared distance from ``a[s + i]`` to ``a[s + j]``. It equals that
-    from ``a[s + j]`` to ``a[s + i]`` bit for bit, as negation is exact.
+    Yields, for each row range ``s:e`` in order, the block with
+    ``block[i, j]`` the squared distance from ``a[s + i]`` to ``b[j]``. Every
+    block is a view of one reused work buffer, overwritten by the next. With
+    ``b`` None the scan is of ``a`` against itself and reaches each pair
+    once: the block of rows ``s:e`` holds the columns ``s:`` only, so
+    ``block[i, j]`` is the squared distance from ``a[s + i]`` to
+    ``a[s + j]``. It equals that from ``a[s + j]`` to ``a[s + i]`` bit for
+    bit, as negation is exact.
+
+    A scan of more than one block computes each block under a ufunc buffer
+    of ``_BUFSIZE`` elements and gives the caller's size back before the
+    block is yielded. The restore is explicit: numpy 1.x keeps the size per
+    thread, and leaving ``np.errstate`` there does not restore it.
     """
     upper = b is None
     b = a if upper else b
@@ -162,16 +176,21 @@ def _sq_blocks(a: np.ndarray, b, out=None):
     # were faulted in again on every call. Each block takes contiguous
     # views of it, whatever its width: strided views of a (2, step, m)
     # buffer made the self-scans up to twice as slow.
-    size = min(step, n) * m
-    work = np.empty(size if out is not None else 2 * size)
+    work = np.empty(2 * min(step, n) * m)
     for s in range(0, n, step):
         e = min(s + step, n)
         c = s if upper else 0
         shape = (e - s, m - c)
         used = shape[0] * shape[1]
         tmp = work[:used].reshape(shape)
-        block = work[used : 2 * used].reshape(shape) if out is None else out[s:e]
-        yield _sq_into(a[s:e], bt[:, c:], block, tmp)
+        block = work[used : 2 * used].reshape(shape)
+        prev = np.setbufsize(_BUFSIZE) if step < n else None
+        try:
+            _sq_into(a[s:e], bt[:, c:], block, tmp)
+        finally:
+            if prev is not None:
+                np.setbufsize(prev)
+        yield block
 
 
 def pairwise_distances(a, b=None) -> np.ndarray:
@@ -181,8 +200,11 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     if aa.shape[1] != bb.shape[1]:
         raise ValueError("dimension mismatch")
     out = np.empty((aa.shape[0], bb.shape[0]))
-    for block in _sq_blocks(aa, bb, out):
-        np.sqrt(block, out=block)
+    s = 0
+    for block in _sq_blocks(aa, bb):  # one streamed write per block
+        e = s + block.shape[0]
+        np.sqrt(block, out=out[s:e])
+        s = e
     return out
 
 

@@ -354,6 +354,105 @@ def test_block_budget_carries_no_meaning(monkeypatch, d):
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), rows
 
 
+# Scan widths on both sides of the one-block square scan (256 x 256 at the
+# default budget), of a 2,048-element ufunc buffer over three operands (682)
+# and of numpy's default 8,192-element one (2,730).
+_WIDTHS = (1, 60, 682, 683, 1024, 2730, 2731, 3072, 4097)
+
+
+@pytest.mark.parametrize("m", _WIDTHS)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_identity_at_every_width(d, m):
+    rng = np.random.default_rng(10 * m + d)
+    b = _wide_points(rng, m, d)
+    a = _wide_points(rng, 2 * geometry._block_rows(m) + 1, d)  # three blocks against b
+    cross = _coordinate_order_reference(a, b)
+    assert np.array_equal(pairwise_distances(a, b), cross)
+    assert set_distance(a, b) == set_distance(b, a) == cross.min()
+    full = pairwise_distances(b)
+    far, near = 0.0, np.inf
+    for s in range(0, m, 256):
+        ref = _coordinate_order_reference(b[s : s + 256], b)
+        assert np.array_equal(full[s : s + 256], ref)
+        far = max(far, ref.max())
+        ref[np.arange(ref.shape[0]), np.arange(s, s + ref.shape[0])] = np.inf
+        near = min(near, ref.min())
+    assert diameter(b) == far
+    if m > 1:
+        assert closest_pair(b) == near
+
+
+def _bufsize_spy(monkeypatch):
+    """Record the ufunc buffer size in force at each kernel call."""
+    seen, kernel = [], geometry._sq_into
+
+    def spy(*args):
+        seen.append(np.getbufsize())
+        return kernel(*args)
+
+    monkeypatch.setattr(geometry, "_sq_into", spy)
+    return seen
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A caller's own ufunc buffer size, set for the test and then undone."""
+    prev = np.setbufsize(4096)
+    try:
+        yield 4096
+    finally:
+        np.setbufsize(prev)
+
+
+def test_public_calls_keep_the_callers_buffer_size(monkeypatch, caller_bufsize):
+    rng = np.random.default_rng(9)
+    c, x = rng.random((300, 2)), rng.random((40, 2))  # 300 x 300 is two blocks
+    calls = [
+        lambda: pairwise_distances(c), lambda: pairwise_distances(c, x),
+        lambda: diameter(c), lambda: closest_pair(c), lambda: spread(c),
+        lambda: set_distance(c, x), lambda: approx_min_ball_alpha(c, 5),
+        lambda: distance(c[0], c[1]), lambda: Ball(c[0], 0.5).contains(c),
+        lambda: max_epoch_depth(quorum_clustering(PointSet(c), 4), PointSet(c)),
+        lambda: exact_min_ball_all(PointSet(x)),
+    ]
+    seen = _bufsize_spy(monkeypatch)
+    for call in calls:
+        call()
+        assert np.getbufsize() == caller_bufsize
+    # multi-block scans ran their blocks under the scan's own size
+    assert geometry._BUFSIZE in seen and caller_bufsize in seen
+
+
+def test_one_block_scans_leave_the_buffer_size_alone(monkeypatch):
+    c = np.random.default_rng(2).random((120, 3))
+    monkeypatch.setattr(np, "setbufsize", None)  # every scan here is one block
+    for call in (pairwise_distances, diameter, closest_pair, spread):
+        call(c)
+    set_distance(c[:60], c[60:])
+
+
+def test_a_closed_or_failed_scan_keeps_the_callers_buffer_size(monkeypatch, caller_bufsize):
+    c = np.random.default_rng(3).random((700, 2))
+    scan = geometry._sq_blocks(c, None)
+    next(scan)
+    assert np.getbufsize() == caller_bufsize
+    scan.close()
+    assert np.getbufsize() == caller_bufsize
+
+    kernel, calls = geometry._sq_into, []
+
+    def fails_second(*args):
+        calls.append(np.getbufsize())
+        if len(calls) == 2:
+            raise RuntimeError("mid-scan")
+        return kernel(*args)
+
+    monkeypatch.setattr(geometry, "_sq_into", fails_second)
+    with pytest.raises(RuntimeError, match="mid-scan"):
+        pairwise_distances(c)
+    assert calls == [geometry._BUFSIZE] * 2 and np.getbufsize() == caller_bufsize
+
+
 def test_every_distance_goes_through_the_kernel():
     # einsum and linalg.norm sum in an order of their own. Only the oracle may
     # use them, for its Gram systems and its own exact baselines.
@@ -369,14 +468,14 @@ def test_every_distance_goes_through_the_kernel():
 
 
 def test_the_block_rule_lives_in_geometry():
-    # Every n^2 pass takes its row blocks from geometry's scans; no other
-    # module sizes blocks of its own.
+    # Every n^2 pass takes its row blocks, and the ufunc buffer size they are
+    # computed under, from geometry's scans; no other module sets either.
     src = Path(sepclust.__file__).parent
     hits = [
         f"{path.name}:{lineno}"
         for path in sorted(src.glob("*.py"))
         if path.name != "geometry.py"
         for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-        if "_block_rows" in line
+        if "_block_rows" in line or "setbufsize" in line
     ]
     assert hits == []
