@@ -264,18 +264,6 @@ def _front(obj, cfg: ExtractionConfig, kind: SeparationKind, colored: bool):
     return obj, [(g, cc, pairwise_distances(cc)) for g, cc in zip(g_idx, coords)]
 
 
-def _matrix_spread(dist: np.ndarray) -> float:
-    """``spread`` of the points whose distance matrix is ``dist`` (at least
-    two points, no duplicates), bit for bit: sqrt is monotone, so the
-    matrix's largest entry is the diameter and its smallest off-diagonal
-    entry the closest pair. The n(n - 1) off-diagonal entries are read as one
-    (n - 1, n) view, without a copy.
-    """
-    n = dist.shape[0]
-    off = dist.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-    return float(dist.max() / off.min())
-
-
 def _finite(r: float) -> float:
     if not math.isfinite(r):  # no ball certifies a radius beyond the double range
         raise ValueError("ball radius must be finite and nonnegative")
@@ -300,9 +288,8 @@ def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> 
         except OverflowError:  # sigma^d beyond a double: the formula is below one
             return 1
         log_phi = 1.0
-        if kind is not SeparationKind.SEMI and points.n >= 2:
-            # Strong's one group is all points, and its matrix holds Phi.
-            phi = _matrix_spread(groups[0][2]) if kind is SeparationKind.STRONG else spread(points)
+        if kind is not SeparationKind.SEMI:
+            phi = spread(points) if points.n >= 2 else 1.0
             log_phi = max(1.0, math.log2(phi))
         denom = k * sd * log_phi
         q = c * m / denom if denom else math.inf

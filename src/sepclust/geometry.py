@@ -199,7 +199,13 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     bb = aa if b is None else _coords_of(b)
     if aa.shape[1] != bb.shape[1]:
         raise ValueError("dimension mismatch")
-    out = np.empty((aa.shape[0], bb.shape[0]))
+    n, m = aa.shape[0], bb.shape[0]
+    out = np.empty((n, m))
+    if n <= _block_rows(m):
+        # One block is cache-sized already: the kernel runs in the result
+        # itself, without the scan's work buffer and a copy out of it.
+        _sq_into(aa, np.ascontiguousarray(bb.T), out, np.empty_like(out))
+        return np.sqrt(out, out=out)
     s = 0
     for block in _sq_blocks(aa, bb):  # one streamed write per block
         e = s + block.shape[0]

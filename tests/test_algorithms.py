@@ -261,26 +261,6 @@ def test_c_override_quotient_exact_when_both_sides_overflow(monkeypatch, fn):
         assert seen == [math.floor(q / Fraction(math.log2(spread(ps))))] == [3]
 
 
-def test_strong_c_override_reads_phi_from_its_matrix(monkeypatch):
-    # Phi from the matrix strong already holds equals spread(points) bit for
-    # bit, so c_override picks the same alpha and clustering without spread.
-    rng = np.random.default_rng(6)
-    wide = rng.standard_normal((300, 3)) * 2.0 ** rng.integers(-40, 41, (300, 3))
-    for ps in (gen_random_uniform(300, 2, 3), gen_exponential_line(40), PointSet(wide)):
-        assert algorithms._matrix_spread(geometry.pairwise_distances(ps.coords)) == spread(ps)
-        cfg = ExtractionConfig(sigma=1.0, k=2, c_override=1.0)
-        alpha = max(1, math.floor(ps.n / (2 * max(1.0, math.log2(spread(ps))))))
-        want = strong_separated_k(ps, ExtractionConfig(sigma=1.0, k=2, alpha=alpha))
-        with monkeypatch.context() as m:
-            m.setattr(algorithms, "spread", None)
-            got = strong_separated_k(ps, cfg)
-        assert got.alpha == want.alpha
-        assert all(np.array_equal(g, w) for g, w in zip(got.clusters, want.clusters))
-        assert [(b.radius, b.center.tolist()) for b in got.balls] == [
-            (b.radius, b.center.tolist()) for b in want.balls
-        ]
-
-
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize(
     "fn", [semi_separated_k, strong_separated_k, semi_separated_k_colored, well_separated_k_colored]

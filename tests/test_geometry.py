@@ -355,9 +355,10 @@ def test_block_budget_carries_no_meaning(monkeypatch, d):
 
 
 # Scan widths on both sides of the one-block square scan (256 x 256 at the
-# default budget), of a 2,048-element ufunc buffer over three operands (682)
-# and of numpy's default 8,192-element one (2,730).
-_WIDTHS = (1, 60, 682, 683, 1024, 2730, 2731, 3072, 4097)
+# default budget), of the kernel's ufunc buffer, geometry._BUFSIZE = 256
+# elements, over three operands (85) and of numpy's default 8,192-element
+# buffer (2,730).
+_WIDTHS = (1, 60, 85, 86, 256, 257, 1024, 2730, 2731, 3072, 4097)
 
 
 @pytest.mark.parametrize("m", _WIDTHS)
