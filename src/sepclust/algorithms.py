@@ -15,8 +15,9 @@ the surviving points, its alpha nearest points, and removal. The rule is
   selector; well separation.
 
 All four share one contract. ``_front`` checks the input and builds its
-groups (each color class, or all points): global indices, coordinates and
-distance matrix. ``run(alpha)`` returns picks (group, center, radius,
+groups (each color class, or all points): global indices, coordinates,
+distance matrix and, in auto mode, order-statistic table (below).
+``run(alpha)`` returns picks (group, center, radius,
 members) indexed within a group, and rejects a radius beyond the double
 range. ``_verified`` alone builds the clustering from the returned alpha's
 picks: global indices, clusters ordered by group, one ``Ball`` per pick.
@@ -36,6 +37,15 @@ auto mode does not promise the largest feasible alpha. Every returned
 clustering is re-verified with ``check_separation`` before it leaves this
 module.
 
+Each auto-mode probe at alpha >= 2 builds its engines afresh, and an
+engine's seed radii are every row's alpha-th smallest distance. In auto
+mode each group therefore carries a ``geometry.OrderStatistics`` of its
+matrix: the first cap order statistics of every row, sorted, built at the
+first such probe and read by every later one, at the cost of 8 n cap bytes
+beside the matrix for the rest of the call. An explicit or ``c_override``
+alpha makes one probe, whose engines partition the rows once, as without a
+table; it builds none.
+
 Exclusion rules are stated on balls. Two balls are treated as sigma-separated
 when the gap between them (center distance minus both radii) is at least
 ``sigma * 2 * r``, with r the larger of the pair's radii for well separation
@@ -54,7 +64,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    REL_TOL, Ball, DenseBalls, PointSet, _distances_to,
+    REL_TOL, Ball, DenseBalls, OrderStatistics, PointSet, _distances_to,
     closest_pair, pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
@@ -172,24 +182,24 @@ def _search_max_alpha(run: Callable, cap: int):
     error; each alpha is run at most once. The returned alpha is feasible,
     and either alpha + 1 was probed infeasible or alpha equals ``cap``.
     Feasibility is not downward closed, so this need not be the largest
-    feasible alpha. Alpha = 1 is probed first; if it fails, its error is
-    re-raised. That probe reads no row of a distance matrix to find its
+    feasible alpha. Alpha = 1 is probed first; if it fails, its error
+    propagates. That probe reads no row of a distance matrix to find its
     balls: at alpha = 1 every ball is one point of radius 0, which
     ``DenseBalls`` seeds and ``_quorum_steps`` returns in O(n).
     """
     cap = max(1, int(cap))
-    results = {}
+    # An infeasible probe is kept as None, not as its error, whose traceback
+    # would tie this dict and the call's matrices into a reference cycle.
+    results = {1: run(1)}
 
     def feasible(a: int) -> bool:
         if a not in results:
             try:
                 results[a] = run(a)
-            except _INFEASIBLE as exc:
-                results[a] = exc
-        return not isinstance(results[a], _INFEASIBLE)
+            except _INFEASIBLE:
+                results[a] = None
+        return results[a] is not None
 
-    if not feasible(1):
-        raise results[1]
     lo, probe = 1, 2
     while probe <= cap and feasible(probe):
         lo, probe = probe, probe * 2
@@ -236,12 +246,17 @@ def _has_duplicates(coords: np.ndarray) -> bool:
     return bool((rows[1:] == rows[:-1]).all(axis=1).any())
 
 
+def _cap(m: int, k: int, colored: bool) -> int:
+    """Auto mode's largest alpha, m the smallest group's size."""
+    return m if colored else m // k
+
+
 def _front(obj, cfg: ExtractionConfig, kind: SeparationKind, colored: bool):
     """The input and its groups: (global indices, coordinates, distance
-    matrix) of each color class, or of all points on plain input. Every input
-    check, the duplicate check of strong and well included, runs first; an
-    input of the other type (``colored`` says which is expected) is a
-    TypeError.
+    matrix, order-statistic table or None outside auto mode) of each color
+    class, or of all points on plain input. Every input check, the duplicate
+    check of strong and well included, runs first; an input of the other
+    type (``colored`` says which is expected) is a TypeError.
     """
     if isinstance(obj, ColoredInstance) != colored:
         want = "a ColoredInstance" if colored else "a PointSet or (n, d) coordinates"
@@ -260,8 +275,14 @@ def _front(obj, cfg: ExtractionConfig, kind: SeparationKind, colored: bool):
     if kind is not SeparationKind.SEMI and _has_duplicates(points.coords):
         dup = "union contains duplicate points" if colored else "point set contains duplicates"
         raise ValueError(f"spread undefined: {dup}")
-    coords = [points.coords[g] for g in g_idx]
-    return obj, [(g, cc, pairwise_distances(cc)) for g, cc in zip(g_idx, coords)]
+    cap = _cap(min(g.size for g in g_idx), cfg.k, colored)
+    auto = cfg.alpha is None and cfg.c_override is None
+    groups = []
+    for g in g_idx:
+        cc = points.coords[g]
+        dist = pairwise_distances(cc)
+        groups.append((g, cc, dist, OrderStatistics(dist, cap) if auto else None))
+    return obj, groups
 
 
 def _finite(r: float) -> float:
@@ -280,7 +301,7 @@ def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> 
     colored = isinstance(obj, ColoredInstance)
     points = obj.points if colored else obj
     k, sigma = cfg.k, float(cfg.sigma)
-    m = min(g.size for g, _, _ in groups)
+    m = min(g.size for g, *_ in groups)
 
     def formula(c: float) -> int:
         try:
@@ -299,7 +320,7 @@ def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> 
         q = min(q, points.n + 1)
         return math.ceil(q) if kind is SeparationKind.SEMI else math.floor(q)
 
-    alpha, picks = _resolve_alpha(cfg, run, cap=m if colored else m // k, formula=formula)
+    alpha, picks = _resolve_alpha(cfg, run, cap=_cap(m, k, colored), formula=formula)
     picks = sorted(picks, key=lambda pick: pick[0])
     clustering = Clustering(
         points=points, clusters=tuple(groups[g][0][mem] for g, _, _, mem in picks),
@@ -321,11 +342,11 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     which is at least sigma times its diameter.
     """
     points, groups = _front(points, cfg, SeparationKind.SEMI, colored=False)
-    (_, _, dist), = groups
+    (_, _, dist, table), = groups
     k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
-        engine = DenseBalls(dist, alpha)
+        engine = DenseBalls(dist, alpha, table)
         picks = []
         for it in range(k):
             if engine.alive.size < alpha:
@@ -352,7 +373,7 @@ def semi_separated_k_colored(
     k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
 
     def run(alpha: int):
-        engines = [DenseBalls(dist, alpha) for _, _, dist in groups]
+        engines = [DenseBalls(dist, alpha, table) for _, _, dist, table in groups]
         active = list(range(k))
         picks = []
         for it in range(k):
@@ -427,11 +448,11 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     strong separation, and every cluster holds exactly alpha points.
     """
     points, groups = _front(points, cfg, SeparationKind.STRONG, colored=False)
-    (_, coords, dist), = groups
+    (_, coords, dist, table), = groups
     k, sigma = cfg.k, float(cfg.sigma)
 
     def run(alpha: int):
-        qc = _quorum_steps(dist, alpha)
+        qc = _quorum_steps(dist, alpha, table)
         if len(qc) == 0:
             raise InsufficientPoints(0)
         cand = np.arange(*max(epochs(qc.radii), key=lambda se: se[1] - se[0]))
@@ -458,7 +479,7 @@ def well_separated_k_colored(
     k, sigma = cfg.k, float(cfg.sigma)
 
     def run(alpha: int):
-        qcs = [_quorum_steps(dist, alpha) for _, _, dist in groups]
+        qcs = [_quorum_steps(dist, alpha, table) for _, _, dist, table in groups]
         colors = np.repeat(np.arange(k), [len(qc) for qc in qcs])
         ctrs = np.concatenate([qc.centers for qc in qcs])
         rads = np.concatenate([qc.radii for qc in qcs])

@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -133,15 +134,18 @@ def distance(p, q) -> float:
     return float(_distances_to(a.reshape(1, -1), b)[0])
 
 
-def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+def _sq_into(a: np.ndarray, bt: np.ndarray, out: np.ndarray, tmp=None):
     """Write into ``out`` the squared distances from the rows of ``a`` to the
     columns of ``bt`` (a second point set, transposed), summed in coordinate
-    order. ``tmp`` is a temporary of ``out``'s shape; no ``(rows, m, d)``
-    difference tensor is built. A square beyond the double range is inf,
-    without a warning: every caller reads inf as too far."""
+    order. ``tmp`` is a temporary of ``out``'s shape, read only for d > 1 and
+    allocated here if the caller passes none; no ``(rows, m, d)`` difference
+    tensor is built. A square beyond the double range is inf, without a
+    warning: every caller reads inf as too far."""
     with np.errstate(over="ignore"):
         np.subtract(a[:, 0:1], bt[0], out=out)
         np.multiply(out, out, out=out)
+        if tmp is None and bt.shape[0] > 1:
+            tmp = np.empty_like(out)
         for k in range(1, bt.shape[0]):
             np.subtract(a[:, k : k + 1], bt[k], out=tmp)
             np.multiply(tmp, tmp, out=tmp)
@@ -204,7 +208,7 @@ def pairwise_distances(a, b=None) -> np.ndarray:
     if n <= _block_rows(m):
         # One block is cache-sized already: the kernel runs in the result
         # itself, without the scan's work buffer and a copy out of it.
-        _sq_into(aa, np.ascontiguousarray(bb.T), out, np.empty_like(out))
+        _sq_into(aa, np.ascontiguousarray(bb.T), out)
         return np.sqrt(out, out=out)
     s = 0
     for block in _sq_blocks(aa, bb):  # one streamed write per block
@@ -217,8 +221,8 @@ def pairwise_distances(a, b=None) -> np.ndarray:
 def _distances_to(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Distances from each row of ``points`` to ``center``, by the same kernel."""
     out = np.empty((1, points.shape[0]))
-    _sq_into(center.reshape(1, -1), points.T, out, np.empty_like(out))
-    return np.sqrt(out[0])
+    _sq_into(center.reshape(1, -1), points.T, out)
+    return np.sqrt(out[0], out=out[0])
 
 
 def _blocked_sq(a, b, reduce, skip_self: bool = False) -> float:
@@ -273,6 +277,50 @@ def spread(ps) -> float:
     return diameter(ps) / cp
 
 
+def _kth_smallest(dist: np.ndarray, a: int) -> np.ndarray:
+    """The rank-``a`` (0-based) entry of every row of ``dist``, by one
+    partition of each row block into a preallocated vector."""
+    n = dist.shape[0]
+    kth = np.empty(n)
+    step = _block_rows(dist.shape[1])
+    for s in range(0, n, step):
+        kth[s : s + step] = np.partition(dist[s : s + step], a, axis=1)[:, a]
+    return kth
+
+
+class OrderStatistics:
+    """The ``cap`` smallest entries of every row of a distance matrix, sorted.
+
+    Column alpha - 1 holds each row's alpha-th smallest distance: the seed
+    radius of a :class:`DenseBalls` at alpha, the same value as a partition
+    of the row gives. One table seeds every probe of an alpha search, where
+    each engine would otherwise partition all n rows again. It is built at
+    the first :meth:`column` call and holds 8 n cap bytes.
+    """
+
+    def __init__(self, dist: np.ndarray, cap: int):
+        self.dist, self.cap, self._table = dist, int(cap), None
+
+    def column(self, alpha: int) -> np.ndarray:
+        """Every row's alpha-th smallest entry, for 1 <= alpha <= cap."""
+        if self._table is None:
+            self._table = _sorted_prefix(self.dist, self.cap)
+        return self._table[:, alpha - 1]
+
+
+def _sorted_prefix(dist: np.ndarray, cap: int) -> np.ndarray:
+    """The first ``cap`` order statistics of every row of ``dist``, sorted:
+    per row block, a partition at rank cap - 1, then a sort of the prefix."""
+    n = dist.shape[0]
+    table = np.empty((n, cap))
+    step = _block_rows(dist.shape[1])
+    for s in range(0, n, step):
+        head = np.partition(dist[s : s + step], cap - 1, axis=1)[:, :cap]
+        head.sort(axis=1)
+        table[s : s + step] = head
+    return table
+
+
 class DenseBalls:
     """Smallest alpha-balls among the alive points of one distance matrix.
 
@@ -283,15 +331,18 @@ class DenseBalls:
     at that time. Removals only grow radii, so the first popped entry with a
     current stamp is exact and minimal (ties to the smallest index), whatever
     a caller removes. A stale entry is recomputed by partitioning the
-    center's alive row; no row is ever sorted.
+    center's alive row.
 
-    At alpha = 1 every candidate radius is the self distance, 0. The heap is
-    then seeded with zeros in O(n), without partitioning the matrix, and no
-    entry is ever recomputed: an alive center keeps radius 0 whatever is
-    removed.
+    The seed radii are column alpha - 1 of ``table``, an
+    :class:`OrderStatistics` of ``dist`` shared by the probes of an alpha
+    search, or without one a partition of every row at rank alpha - 1, one
+    row block at a time. Both give the same radii bit for bit. At alpha = 1
+    every candidate radius is the self distance, 0. The heap is then seeded
+    with zeros in O(n), reading neither, and no entry is ever recomputed: an
+    alive center keeps radius 0 whatever is removed.
     """
 
-    def __init__(self, dist: np.ndarray, alpha: int):
+    def __init__(self, dist: np.ndarray, alpha: int, table: Optional[OrderStatistics] = None):
         n = dist.shape[0]
         self.dist = dist
         self.alpha = int(alpha)
@@ -303,11 +354,10 @@ class DenseBalls:
             # Equal radii and ascending indices: already in heap order.
             self._heap = [(0.0, i, 0) for i in range(n)]
         elif n >= self.alpha:
-            a = self.alpha - 1
-            start = np.empty(n)
-            step = _block_rows(n)
-            for s in range(0, n, step):
-                start[s : s + step] = np.partition(dist[s : s + step], a, axis=1)[:, a]
+            if table is None:
+                start = _kth_smallest(dist, self.alpha - 1)
+            else:
+                start = table.column(self.alpha)
             self._heap = list(zip(start.tolist(), range(n), [0] * n))
             heapq.heapify(self._heap)
 

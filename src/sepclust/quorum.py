@@ -5,7 +5,8 @@ fixed quota of the surviving points, removes exactly that quota, and repeats
 while at least a quota survives (the full steps, ``_quorum_steps``);
 ``quorum_clustering`` then adds one smaller remainder step so that every point
 is covered. The balls come from the dense-ball engine ``geometry.DenseBalls``,
-which reads only the distance matrix. A :class:`QuorumClustering` keeps the
+which reads only the distance matrix, or an order-statistic table of it for
+its seed radii. A :class:`QuorumClustering` keeps the
 steps as aligned arrays: step t is centered at point ``qc.centers[t]`` with
 radius ``qc.radii[t]`` and removed the sorted indices ``qc.members[t]``. The
 radius sequence splits greedily into epochs: maximal runs whose radii stay
@@ -16,10 +17,13 @@ half-open ``(start, end)`` step ranges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .geometry import REL_TOL, DenseBalls, PointSet, _sq_blocks, pairwise_distances
+from .geometry import (
+    REL_TOL, DenseBalls, OrderStatistics, PointSet, _sq_blocks, pairwise_distances,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,14 +49,17 @@ class QuorumClustering:
         return len(self.members)
 
 
-def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
+def _quorum_steps(
+    dist: np.ndarray, gamma: int, table: Optional[OrderStatistics] = None
+) -> QuorumClustering:
     """The full steps of a quorum clustering on a precomputed distance matrix.
 
     Every step is the :class:`DenseBalls` engine's smallest gamma-ball among
     the survivors and removes its gamma members, the covered points nearest
     the center (ties by index). Steps run while at least gamma points
     survive, so every step holds exactly gamma members, fewer than gamma
-    points are left, and there are no steps when n < gamma.
+    points are left, and there are no steps when n < gamma. The engine
+    takes its seed radii from ``table`` when given (see ``DenseBalls``).
 
     At gamma = 1 the steps are known in advance and built in O(n): step t is
     point t alone, at radius 0.
@@ -65,7 +72,7 @@ def _quorum_steps(dist: np.ndarray, gamma: int) -> QuorumClustering:
         # point t, for any input, duplicates included.
         idx = np.arange(dist.shape[0])
         return QuorumClustering(gamma, idx, np.zeros(idx.size), tuple(idx[:, None]))
-    balls = DenseBalls(dist, gamma)
+    balls = DenseBalls(dist, gamma, table)
     centers, radii, members = [], [], []
     while balls.alive.size >= gamma:
         center, radius = balls.smallest()

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -731,14 +732,81 @@ def test_infinite_pick_radius_ends_the_alpha_search(monkeypatch, fn):
 
 
 def test_matrices_and_balls_are_built_in_one_place():
-    # The front builds every distance matrix and the assembly every ball, so
-    # no run(alpha) builds either once per probe.
+    # The front builds every distance matrix and order-statistic table and
+    # the assembly every ball, so no run(alpha) builds one once per probe.
     where, calls = None, set()
+    names = ("pairwise_distances(", "OrderStatistics(", "Ball(")
     for line in Path(algorithms.__file__).read_text().splitlines():
         if line.startswith(("def ", "class ")):
             where = line.split()[1].split("(")[0].rstrip(":")
-        calls |= {(name, where) for name in ("pairwise_distances(", "Ball(") if name in line}
-    assert calls == {("pairwise_distances(", "_front"), ("Ball(", "_verified")}
+        calls |= {(name, where) for name in names if name in line}
+    assert calls == {
+        ("pairwise_distances(", "_front"), ("OrderStatistics(", "_front"), ("Ball(", "_verified"),
+    }
+
+
+_ALGOS = (
+    (semi_separated_k, False),
+    (semi_separated_k_colored, True),
+    (strong_separated_k, False),
+    (well_separated_k_colored, True),
+)
+
+
+def test_auto_mode_equals_the_explicit_run_at_its_alpha():
+    # Auto mode seeds its probes from one order-statistic table, an explicit
+    # alpha by partitioning the rows: the clusterings must not differ.
+    for d, k, sigma, seed in itertools.product((1, 2), (2, 3), (1.0, 2.0, 4.0), range(3)):
+        ps = gen_random_uniform(60, d, seed)
+        for fn, colored in _ALGOS:
+            obj = ColoredInstance(ps, np.arange(ps.n) % k) if colored else ps
+            auto = fn(obj, ExtractionConfig(sigma=sigma, k=k))
+            one = fn(obj, ExtractionConfig(sigma=sigma, k=k, alpha=auto.alpha))
+            assert auto.alpha == one.alpha
+            assert len(auto.clusters) == len(one.clusters) == k
+            for a, b in zip(auto.clusters, one.clusters):
+                assert np.array_equal(a, b)
+            for a, b in zip(auto.balls, one.balls):
+                assert np.array_equal(a.center, b.center) and a.radius == b.radius
+
+
+def test_auto_mode_leaves_no_reference_cycle():
+    # The search keeps no infeasible probe's error, whose traceback would
+    # hold the call's matrices and tables in a cycle until a collection.
+    ps = gen_random_uniform(60, 2, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        for fn, colored in _ALGOS:
+            obj = ColoredInstance(ps, np.arange(ps.n) % 3) if colored else ps
+            fn(obj, ExtractionConfig(sigma=1.0, k=3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_only_auto_mode_builds_tables_and_one_per_group(monkeypatch):
+    built, prefix = [], geometry._sorted_prefix
+
+    def counted(dist, cap):
+        built.append((id(dist), cap))
+        return prefix(dist, cap)
+
+    monkeypatch.setattr(geometry, "_sorted_prefix", counted)
+    ps = gen_random_uniform(60, 2, 3)
+    for fn, colored in _ALGOS:
+        obj = ColoredInstance(ps, np.arange(ps.n) % 3) if colored else ps
+        for one_probe in (dict(alpha=4), dict(c_override=1.0)):
+            built.clear()
+            try:
+                fn(obj, ExtractionConfig(sigma=1.0, k=3, **one_probe))
+            except algorithms._INFEASIBLE:
+                pass
+            assert built == [], (fn.__name__, one_probe)
+        built.clear()
+        assert fn(obj, ExtractionConfig(sigma=1.0, k=3)).alpha >= 2
+        assert 1 <= len(built) == len(set(built)) <= (3 if colored else 1), fn.__name__
+        assert {cap for _, cap in built} == {20}  # the cap: m on colored input, n // k
 
 
 def _largest_feasible_alpha(fn, ps, cfg):

@@ -13,6 +13,7 @@ from sepclust import geometry
 from sepclust.geometry import (
     Ball,
     DenseBalls,
+    OrderStatistics,
     PointSet,
     approx_min_ball_alpha,
     closest_pair,
@@ -191,6 +192,66 @@ def test_dense_balls_seed_holds_one_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * geometry._BLOCK
+
+
+def _seed_inputs():
+    """Coordinates with random, tied, duplicate and infinite distances, at
+    n = 60 (one row block) and 300 (two)."""
+    rng = np.random.default_rng(31)
+    for n in (60, 300):
+        for d in (1, 2, 3):
+            yield rng.random((n, d))
+        twice = rng.random((n // 2, 2))
+        yield np.vstack([twice, twice])
+        huge = rng.random((n, 2))
+        huge[::7] *= 1e300  # distances from these beyond the double range: inf
+        yield huge
+    yield gen_grid(8, 2).coords
+    yield gen_grid(17, 2).coords
+    yield gen_grid(60, 1).coords
+
+
+def _seed_groups(coords):
+    """(distance matrix, cap) of the plain group and of the per-color groups."""
+    n = coords.shape[0]
+    yield pairwise_distances(coords), n // 2
+    for colors in (np.arange(n) % 3, (np.arange(n) % 4 == 0).astype(int)):
+        sets = [coords[colors == c] for c in range(colors.max() + 1)]
+        cap = min(len(c) for c in sets)  # up to the whole row of the smallest
+        for c in sets:
+            yield pairwise_distances(c), cap
+
+
+def test_order_statistics_equal_the_partition_seed():
+    # Column alpha - 1 of the table is the seed that DenseBalls partitions
+    # for at alpha, bit for bit, at every alpha the table holds.
+    zero = inf = False
+    for coords in _seed_inputs():
+        for dist, cap in _seed_groups(coords):
+            table = OrderStatistics(dist, cap)
+            for alpha in range(2, cap + 1):
+                got = table.column(alpha)
+                want = geometry._kth_smallest(dist, alpha - 1)
+                assert got.tobytes() == want.tobytes(), (dist.shape, cap, alpha)
+                zero, inf = zero or not got.all(), inf or np.isinf(got).any()
+            for alpha in {2, cap // 2 + 1, cap} - {0, 1}:
+                assert DenseBalls(dist, alpha, table)._heap == DenseBalls(dist, alpha)._heap
+    assert zero and inf  # duplicate points and distances beyond the double range
+
+
+def test_one_block_d1_kernel_allocates_no_temporary():
+    # At d = 1 the kernel reads no temporary, so a one-block matrix and the
+    # distances to a point allocate no second buffer of the result's size.
+    c = np.random.default_rng(6).random((1 << 16, 1))
+    for call, size in ((lambda: pairwise_distances(c[:256]), 256 * 256 * 8),
+                       (lambda: geometry._distances_to(c, c[0]), c.size * 8)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert size <= peak < 1.5 * size
 
 
 def _alpha_one_inputs():
