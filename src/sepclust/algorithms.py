@@ -14,13 +14,14 @@ the surviving points, its alpha nearest points, and removal. The rule is
 * ``well_separated_k_colored``: per-color quorum clusterings merged by the
   selector; well separation.
 
-All four share one contract. ``_front`` checks the input and builds its
-groups (each color class, or all points): global indices, coordinates,
-distance matrix and, in auto mode, order-statistic table (below).
-``run(alpha)`` returns picks (group, center, radius,
-members) indexed within a group, and rejects a radius beyond the double
-range. ``_verified`` alone builds the clustering from the returned alpha's
-picks: global indices, clusters ordered by group, one ``Ball`` per pick.
+All four share one contract, ``_verified``. It checks the input and builds
+its groups (each color class, or all points): global indices, coordinates,
+distance matrix and, in auto mode, order-statistic table (below). Each
+algorithm supplies only a pick rule ``(groups, cfg, alpha)``, which returns
+picks (group, center, radius, members) indexed within a group and rejects a
+radius beyond the double range. ``_verified`` alone builds the clustering
+from the returned alpha's picks: global indices, clusters ordered by group,
+one ``Ball`` per pick.
 
 Alpha (the per-cluster size target) is either explicit, derived from a
 caller-supplied constant c, or found automatically by doubling then binary
@@ -39,12 +40,12 @@ module.
 
 Each auto-mode probe at alpha >= 2 builds its engines afresh, and an
 engine's seed radii are every row's alpha-th smallest distance. In auto
-mode each group therefore carries a ``geometry.OrderStatistics`` of its
-matrix: the first cap order statistics of every row, sorted, built at the
-first such probe and read by every later one, at the cost of 8 n cap bytes
-beside the matrix for the rest of the call. An explicit or ``c_override``
-alpha makes one probe, whose engines partition the rows once, as without a
-table; it builds none.
+mode each group therefore carries ``geometry._sorted_prefix`` of its matrix
+(when the cap is at least 2): the first cap order statistics of every row,
+sorted, built with the matrix and read by every probe at alpha >= 2, at the
+cost of 8 n cap bytes beside the matrix for the rest of the call; a call
+whose alpha = 1 probe fails never reads it. An explicit or ``c_override`` alpha makes one probe, whose engines
+partition the rows once, as without a table; it builds none.
 
 Exclusion rules are stated on balls. Two balls are treated as sigma-separated
 when the gap between them (center distance minus both radii) is at least
@@ -64,7 +65,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (
-    REL_TOL, Ball, DenseBalls, OrderStatistics, PointSet, _distances_to,
+    REL_TOL, Ball, DenseBalls, PointSet, _distances_to, _sorted_prefix,
     closest_pair, pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
@@ -246,62 +247,52 @@ def _has_duplicates(coords: np.ndarray) -> bool:
     return bool((rows[1:] == rows[:-1]).all(axis=1).any())
 
 
-def _cap(m: int, k: int, colored: bool) -> int:
-    """Auto mode's largest alpha, m the smallest group's size."""
-    return m if colored else m // k
-
-
-def _front(obj, cfg: ExtractionConfig, kind: SeparationKind, colored: bool):
-    """The input and its groups: (global indices, coordinates, distance
-    matrix, order-statistic table or None outside auto mode) of each color
-    class, or of all points on plain input. Every input check, the duplicate
-    check of strong and well included, runs first; an input of the other
-    type (``colored`` says which is expected) is a TypeError.
-    """
-    if isinstance(obj, ColoredInstance) != colored:
-        want = "a ColoredInstance" if colored else "a PointSet or (n, d) coordinates"
-        raise TypeError(f"expected {want}, got {type(obj).__name__}")
-    if colored:
-        if obj.k != cfg.k:
-            raise ValueError(f"config k={cfg.k} but instance has {obj.k} colors")
-        if kind is SeparationKind.WELL and len(set(obj.sizes)) != 1:
-            raise ValueError("well-separated colored extraction needs equal color sizes")
-        points, g_idx = obj.points, [obj.color_indices(c) for c in range(cfg.k)]
-    else:
-        obj = points = obj if isinstance(obj, PointSet) else PointSet(obj)
-        if points.n < cfg.k:
-            raise ValueError(f"need at least k={cfg.k} points, got {points.n}")
-        g_idx = [np.arange(points.n)]
-    if kind is not SeparationKind.SEMI and _has_duplicates(points.coords):
-        dup = "union contains duplicate points" if colored else "point set contains duplicates"
-        raise ValueError(f"spread undefined: {dup}")
-    cap = _cap(min(g.size for g in g_idx), cfg.k, colored)
-    auto = cfg.alpha is None and cfg.c_override is None
-    groups = []
-    for g in g_idx:
-        cc = points.coords[g]
-        dist = pairwise_distances(cc)
-        groups.append((g, cc, dist, OrderStatistics(dist, cap) if auto else None))
-    return obj, groups
-
-
 def _finite(r: float) -> float:
     if not math.isfinite(r):  # no ball certifies a radius beyond the double range
         raise ValueError("ball radius must be finite and nonnegative")
     return r
 
 
-def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> Clustering:
-    """Resolve alpha under the one policy, run, and self-check the clustering.
+def _verified(obj, cfg: ExtractionConfig, kind: SeparationKind, colored: bool, picks) -> Clustering:
+    """Check the input, resolve alpha under the one policy, pick, and return
+    the self-checked clustering.
 
-    ``obj`` and ``groups`` come from ``_front``; m is the smallest group's
-    size, and alpha's cap is m on colored input, else m // k. Only the
-    returned alpha's picks become clusters (ordered by group, then by pick).
+    Every input check, the duplicate check of strong and well included, runs
+    first; an input of the other type (``colored`` says which is expected)
+    is a TypeError. The groups are (global indices, coordinates, distance
+    matrix, order-statistic table) of each color class, or of all points on
+    plain input. With m the smallest group's size, alpha's cap is m on
+    colored input, else m // k; the table is ``_sorted_prefix(dist, cap)``
+    in auto mode with a cap of at least 2, else None. ``picks(groups, cfg,
+    alpha)`` returns an alpha's picks; only the returned alpha's become
+    clusters (ordered by group, then by pick).
     """
-    colored = isinstance(obj, ColoredInstance)
-    points = obj.points if colored else obj
+    if isinstance(obj, ColoredInstance) != colored:
+        want = "a ColoredInstance" if colored else "a PointSet or (n, d) coordinates"
+        raise TypeError(f"expected {want}, got {type(obj).__name__}")
     k, sigma = cfg.k, float(cfg.sigma)
-    m = min(g.size for g, *_ in groups)
+    if colored:
+        if obj.k != k:
+            raise ValueError(f"config k={k} but instance has {obj.k} colors")
+        if kind is SeparationKind.WELL and len(set(obj.sizes)) != 1:
+            raise ValueError("well-separated colored extraction needs equal color sizes")
+        points, g_idx = obj.points, [obj.color_indices(c) for c in range(k)]
+    else:
+        points = obj if isinstance(obj, PointSet) else PointSet(obj)
+        if points.n < k:
+            raise ValueError(f"need at least k={k} points, got {points.n}")
+        g_idx = [np.arange(points.n)]
+    if kind is not SeparationKind.SEMI and _has_duplicates(points.coords):
+        dup = "union contains duplicate points" if colored else "point set contains duplicates"
+        raise ValueError(f"spread undefined: {dup}")
+    m = min(g.size for g in g_idx)
+    cap = m if colored else m // k
+    auto = cfg.alpha is None and cfg.c_override is None and cap > 1
+    groups = []
+    for g in g_idx:
+        cc = points.coords[g]
+        dist = pairwise_distances(cc)
+        groups.append((g, cc, dist, _sorted_prefix(dist, cap) if auto else None))
 
     def formula(c: float) -> int:
         try:
@@ -320,12 +311,12 @@ def _verified(obj, groups, cfg: ExtractionConfig, kind: SeparationKind, run) -> 
         q = min(q, points.n + 1)
         return math.ceil(q) if kind is SeparationKind.SEMI else math.floor(q)
 
-    alpha, picks = _resolve_alpha(cfg, run, cap=_cap(m, k, colored), formula=formula)
-    picks = sorted(picks, key=lambda pick: pick[0])
+    alpha, chosen = _resolve_alpha(cfg, lambda a: picks(groups, cfg, a), cap=cap, formula=formula)
+    chosen = sorted(chosen, key=lambda pick: pick[0])
     clustering = Clustering(
-        points=points, clusters=tuple(groups[g][0][mem] for g, _, _, mem in picks),
+        points=points, clusters=tuple(groups[g][0][mem] for g, _, _, mem in chosen),
         sigma=cfg.sigma, kind=kind, colors=obj.colors if colored else None,
-        balls=tuple(Ball(groups[g][1][c].copy(), r) for g, c, r, _ in picks), alpha=alpha,
+        balls=tuple(Ball(groups[g][1][c].copy(), r) for g, c, r, _ in chosen), alpha=alpha,
     )
     if not check_separation(clustering):
         raise VerificationFailed(f"{kind.value} separation re-check failed (internal error)")
@@ -341,22 +332,22 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     Later clusters therefore sit at distance >= 2 sigma r_i from cluster i,
     which is at least sigma times its diameter.
     """
-    points, groups = _front(points, cfg, SeparationKind.SEMI, colored=False)
+    return _verified(points, cfg, SeparationKind.SEMI, False, _semi_picks)
+
+
+def _semi_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
     (_, _, dist, table), = groups
-    k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
-
-    def run(alpha: int):
-        engine = DenseBalls(dist, alpha, table)
-        picks = []
-        for it in range(k):
-            if engine.alive.size < alpha:
-                raise InsufficientPoints(it)
-            center, r = engine.smallest()
-            picks.append((0, center, _finite(r), engine.nearest(center, r)))
-            engine.remove(engine.within(center, scale * r * (1.0 + REL_TOL)))
-        return picks
-
-    return _verified(points, groups, cfg, SeparationKind.SEMI, run)
+    scale = 2.0 * float(cfg.sigma) + 2.0
+    engine = DenseBalls(dist, alpha, table)
+    picks = []
+    for it in range(cfg.k):
+        if engine.alive.size < alpha:
+            raise InsufficientPoints(it)
+        center, r = engine.smallest()
+        picks.append((0, center, _finite(r), engine.nearest(center, r)))
+        alive = engine.alive
+        engine.remove(alive[dist[center][alive] <= scale * r * (1.0 + REL_TOL)])
+    return picks
 
 
 def semi_separated_k_colored(
@@ -369,33 +360,32 @@ def semi_separated_k_colored(
     with the alpha covered points nearest the center, and removes points of
     the remaining active colors inside the (2 sigma + 2)-scaled ball.
     """
-    inst, groups = _front(inst, cfg, SeparationKind.SEMI, colored=True)
-    k, scale = cfg.k, 2.0 * float(cfg.sigma) + 2.0
+    return _verified(inst, cfg, SeparationKind.SEMI, True, _semi_colored_picks)
 
-    def run(alpha: int):
-        engines = [DenseBalls(dist, alpha, table) for _, _, dist, table in groups]
-        active = list(range(k))
-        picks = []
-        for it in range(k):
-            best = None
-            for c in active:
-                if engines[c].alive.size < alpha:
-                    raise InsufficientPoints(it)
-                ctr, r = engines[c].smallest()
-                if best is None or (r, c) < best[:2]:
-                    best = (r, c, ctr)
-            r, c0, ctr = best
-            picks.append((c0, ctr, _finite(r), engines[c0].nearest(ctr, r)))
-            active.remove(c0)
-            cut = scale * r * (1.0 + REL_TOL)
-            center_pt = groups[c0][1][ctr]
-            for c2 in active:
-                idx2 = engines[c2].alive
-                d2 = _distances_to(groups[c2][1][idx2], center_pt)
-                engines[c2].remove(idx2[d2 <= cut])
-        return picks
 
-    return _verified(inst, groups, cfg, SeparationKind.SEMI, run)
+def _semi_colored_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
+    scale = 2.0 * float(cfg.sigma) + 2.0
+    engines = [DenseBalls(dist, alpha, table) for _, _, dist, table in groups]
+    active = list(range(cfg.k))
+    picks = []
+    for it in range(cfg.k):
+        best = None
+        for c in active:
+            if engines[c].alive.size < alpha:
+                raise InsufficientPoints(it)
+            ctr, r = engines[c].smallest()
+            if best is None or (r, c) < best[:2]:
+                best = (r, c, ctr)
+        r, c0, ctr = best
+        picks.append((c0, ctr, _finite(r), engines[c0].nearest(ctr, r)))
+        active.remove(c0)
+        cut = scale * r * (1.0 + REL_TOL)
+        center_pt = groups[c0][1][ctr]
+        for c2 in active:
+            idx2 = engines[c2].alive
+            d2 = _distances_to(groups[c2][1][idx2], center_pt)
+            engines[c2].remove(idx2[d2 <= cut])
+    return picks
 
 
 def _select_separated(
@@ -447,20 +437,20 @@ def strong_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     All cluster diameters are at most ``2 r_hat``, so the kept gaps certify
     strong separation, and every cluster holds exactly alpha points.
     """
-    points, groups = _front(points, cfg, SeparationKind.STRONG, colored=False)
+    return _verified(points, cfg, SeparationKind.STRONG, False, _strong_picks)
+
+
+def _strong_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
     (_, coords, dist, table), = groups
-    k, sigma = cfg.k, float(cfg.sigma)
-
-    def run(alpha: int):
-        qc = _quorum_steps(dist, alpha, table)
-        if len(qc) == 0:
-            raise InsufficientPoints(0)
-        cand = np.arange(*max(epochs(qc.radii), key=lambda se: se[1] - se[0]))
-        centers, rads = qc.centers[cand], qc.radii[cand]
-        picked = _select_separated(coords[centers], rads, None, k, sigma, r_floor=float(rads.max()))
-        return [(0, centers[t], rads[t], qc.members[cand[t]]) for t in picked]
-
-    return _verified(points, groups, cfg, SeparationKind.STRONG, run)
+    qc = _quorum_steps(dist, alpha, table)
+    if len(qc) == 0:
+        raise InsufficientPoints(0)
+    cand = np.arange(*max(epochs(qc.radii), key=lambda se: se[1] - se[0]))
+    centers, rads = qc.centers[cand], qc.radii[cand]
+    picked = _select_separated(
+        coords[centers], rads, None, cfg.k, float(cfg.sigma), r_floor=float(rads.max())
+    )
+    return [(0, centers[t], rads[t], qc.members[cand[t]]) for t in picked]
 
 
 def well_separated_k_colored(
@@ -475,20 +465,18 @@ def well_separated_k_colored(
     ``2 sigma max(r_i, r_j)``). Erroring out as soon as an unserved color has
     no balls left keeps failures deterministic.
     """
-    inst, groups = _front(inst, cfg, SeparationKind.WELL, colored=True)
-    k, sigma = cfg.k, float(cfg.sigma)
+    return _verified(inst, cfg, SeparationKind.WELL, True, _well_picks)
 
-    def run(alpha: int):
-        qcs = [_quorum_steps(dist, alpha, table) for _, _, dist, table in groups]
-        colors = np.repeat(np.arange(k), [len(qc) for qc in qcs])
-        ctrs = np.concatenate([qc.centers for qc in qcs])
-        rads = np.concatenate([qc.radii for qc in qcs])
-        pts = np.concatenate([g[1][qc.centers] for g, qc in zip(groups, qcs)])
-        picks = []
-        for t in _select_separated(pts, rads, colors, k, sigma, r_floor=0.0):
-            c = colors[t]
-            covered = np.flatnonzero(groups[c][2][ctrs[t]] <= rads[t])
-            picks.append((c, ctrs[t], _finite(rads[t]), covered))
-        return picks
 
-    return _verified(inst, groups, cfg, SeparationKind.WELL, run)
+def _well_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
+    qcs = [_quorum_steps(dist, alpha, table) for _, _, dist, table in groups]
+    colors = np.repeat(np.arange(cfg.k), [len(qc) for qc in qcs])
+    ctrs = np.concatenate([qc.centers for qc in qcs])
+    rads = np.concatenate([qc.radii for qc in qcs])
+    pts = np.concatenate([g[1][qc.centers] for g, qc in zip(groups, qcs)])
+    picks = []
+    for t in _select_separated(pts, rads, colors, cfg.k, float(cfg.sigma), r_floor=0.0):
+        c = colors[t]
+        covered = np.flatnonzero(groups[c][2][ctrs[t]] <= rads[t])
+        picks.append((c, ctrs[t], _finite(rads[t]), covered))
+    return picks

@@ -288,29 +288,12 @@ def _kth_smallest(dist: np.ndarray, a: int) -> np.ndarray:
     return kth
 
 
-class OrderStatistics:
-    """The ``cap`` smallest entries of every row of a distance matrix, sorted.
-
-    Column alpha - 1 holds each row's alpha-th smallest distance: the seed
-    radius of a :class:`DenseBalls` at alpha, the same value as a partition
-    of the row gives. One table seeds every probe of an alpha search, where
-    each engine would otherwise partition all n rows again. It is built at
-    the first :meth:`column` call and holds 8 n cap bytes.
-    """
-
-    def __init__(self, dist: np.ndarray, cap: int):
-        self.dist, self.cap, self._table = dist, int(cap), None
-
-    def column(self, alpha: int) -> np.ndarray:
-        """Every row's alpha-th smallest entry, for 1 <= alpha <= cap."""
-        if self._table is None:
-            self._table = _sorted_prefix(self.dist, self.cap)
-        return self._table[:, alpha - 1]
-
-
 def _sorted_prefix(dist: np.ndarray, cap: int) -> np.ndarray:
-    """The first ``cap`` order statistics of every row of ``dist``, sorted:
-    per row block, a partition at rank cap - 1, then a sort of the prefix."""
+    """The ``cap`` smallest entries of every row of ``dist``, sorted, as an
+    (n, cap) array of 8 n cap bytes: per row block, a partition at rank
+    cap - 1, then a sort of the prefix. Column alpha - 1 holds each row's
+    alpha-th smallest entry, the value a partition of the row at rank
+    alpha - 1 gives, so one table seeds every probe of an alpha search."""
     n = dist.shape[0]
     table = np.empty((n, cap))
     step = _block_rows(dist.shape[1])
@@ -333,16 +316,16 @@ class DenseBalls:
     a caller removes. A stale entry is recomputed by partitioning the
     center's alive row.
 
-    The seed radii are column alpha - 1 of ``table``, an
-    :class:`OrderStatistics` of ``dist`` shared by the probes of an alpha
-    search, or without one a partition of every row at rank alpha - 1, one
-    row block at a time. Both give the same radii bit for bit. At alpha = 1
-    every candidate radius is the self distance, 0. The heap is then seeded
-    with zeros in O(n), reading neither, and no entry is ever recomputed: an
-    alive center keeps radius 0 whatever is removed.
+    The seed radii are column alpha - 1 of ``table``, a ``_sorted_prefix``
+    of ``dist`` shared by the probes of an alpha search, or without one a
+    partition of every row at rank alpha - 1, one row block at a time. Both
+    give the same radii bit for bit. At alpha = 1 every candidate radius is
+    the self distance, 0. The heap is then seeded with zeros in O(n),
+    reading neither, and no entry is ever recomputed: an alive center keeps
+    radius 0 whatever is removed.
     """
 
-    def __init__(self, dist: np.ndarray, alpha: int, table: Optional[OrderStatistics] = None):
+    def __init__(self, dist: np.ndarray, alpha: int, table: Optional[np.ndarray] = None):
         n = dist.shape[0]
         self.dist = dist
         self.alpha = int(alpha)
@@ -357,7 +340,7 @@ class DenseBalls:
             if table is None:
                 start = _kth_smallest(dist, self.alpha - 1)
             else:
-                start = table.column(self.alpha)
+                start = table[:, self.alpha - 1]
             self._heap = list(zip(start.tolist(), range(n), [0] * n))
             heapq.heapify(self._heap)
 
@@ -374,10 +357,6 @@ class DenseBalls:
                 row = self.dist[i][self.alive]
                 row.partition(a)
                 heapq.heapreplace(heap, (float(row[a]), i, stamp))
-
-    def within(self, center: int, radius: float) -> np.ndarray:
-        """Alive points at distance at most ``radius`` from ``center``, ascending."""
-        return self.alive[self.dist[center][self.alive] <= radius]
 
     def nearest(self, center: int, radius: float) -> np.ndarray:
         """The alpha alive points nearest ``center`` (ties by index), ascending;

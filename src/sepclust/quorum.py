@@ -5,13 +5,13 @@ fixed quota of the surviving points, removes exactly that quota, and repeats
 while at least a quota survives (the full steps, ``_quorum_steps``);
 ``quorum_clustering`` then adds one smaller remainder step so that every point
 is covered. The balls come from the dense-ball engine ``geometry.DenseBalls``,
-which reads only the distance matrix, or an order-statistic table of it for
-its seed radii. A :class:`QuorumClustering` keeps the
-steps as aligned arrays: step t is centered at point ``qc.centers[t]`` with
-radius ``qc.radii[t]`` and removed the sorted indices ``qc.members[t]``. The
-radius sequence splits greedily into epochs: maximal runs whose radii stay
-within 4x the run's first radius, returned by ``epochs`` as a tuple of
-half-open ``(start, end)`` step ranges.
+which reads only the distance matrix and, in auto mode, a sorted prefix of
+its rows (``geometry._sorted_prefix``) for its seed radii. A
+:class:`QuorumClustering` keeps the steps as aligned arrays: step t is
+centered at point ``qc.centers[t]`` with radius ``qc.radii[t]`` and removed
+the sorted indices ``qc.members[t]``. The radius sequence splits greedily
+into epochs: maximal runs whose radii stay within 4x the run's first radius,
+returned by ``epochs`` as a tuple of half-open ``(start, end)`` step ranges.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    REL_TOL, DenseBalls, OrderStatistics, PointSet, _sq_blocks, pairwise_distances,
-)
+from .geometry import REL_TOL, DenseBalls, PointSet, _sq_blocks, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +48,7 @@ class QuorumClustering:
 
 
 def _quorum_steps(
-    dist: np.ndarray, gamma: int, table: Optional[OrderStatistics] = None
+    dist: np.ndarray, gamma: int, table: Optional[np.ndarray] = None
 ) -> QuorumClustering:
     """The full steps of a quorum clustering on a precomputed distance matrix.
 
@@ -59,7 +57,8 @@ def _quorum_steps(
     the center (ties by index). Steps run while at least gamma points
     survive, so every step holds exactly gamma members, fewer than gamma
     points are left, and there are no steps when n < gamma. The engine
-    takes its seed radii from ``table`` when given (see ``DenseBalls``).
+    takes its seed radii from column gamma - 1 of ``table`` when given (see
+    ``DenseBalls``).
 
     At gamma = 1 the steps are known in advance and built in O(n): step t is
     point t alone, at radius 0.

@@ -731,17 +731,40 @@ def test_infinite_pick_radius_ends_the_alpha_search(monkeypatch, fn):
     assert probes == [1, 2]
 
 
+@pytest.mark.parametrize("fn", [semi_separated_k, semi_separated_k_colored])
+def test_auto_mode_raises_the_failed_alpha_one_probe_error(monkeypatch, fn):
+    # At alpha = 1 the first pick's exclusion ball of radius 0 removes every
+    # copy of its point, so the second iteration finds no survivor. Auto
+    # mode probes nothing else and raises that probe's error, though it has
+    # built its tables already (semi-colored; plain semi's cap is 1).
+    probes = []
+    resolve = algorithms._resolve_alpha
+
+    def spy(cfg, run, cap, formula):
+        return resolve(cfg, lambda a: probes.append(a) or run(a), cap, formula)
+
+    monkeypatch.setattr(algorithms, "_resolve_alpha", spy)
+    if fn is semi_separated_k:
+        obj = PointSet(np.zeros((3, 2)))
+    else:
+        obj = ColoredInstance(PointSet(np.zeros((4, 2))), np.array([0, 0, 1, 1]))
+    with pytest.raises(InsufficientPoints) as err:
+        fn(obj, ExtractionConfig(sigma=1.0, k=2))
+    assert err.value.iteration == 1
+    assert probes == [1]
+
+
 def test_matrices_and_balls_are_built_in_one_place():
-    # The front builds every distance matrix and order-statistic table and
-    # the assembly every ball, so no run(alpha) builds one once per probe.
+    # The one extraction call builds every distance matrix, order-statistic
+    # table and ball, so no pick rule builds one once per probe.
     where, calls = None, set()
-    names = ("pairwise_distances(", "OrderStatistics(", "Ball(")
+    names = ("pairwise_distances(", "_sorted_prefix(", "Ball(")
     for line in Path(algorithms.__file__).read_text().splitlines():
         if line.startswith(("def ", "class ")):
             where = line.split()[1].split("(")[0].rstrip(":")
         calls |= {(name, where) for name in names if name in line}
     assert calls == {
-        ("pairwise_distances(", "_front"), ("OrderStatistics(", "_front"), ("Ball(", "_verified"),
+        ("pairwise_distances(", "_verified"), ("_sorted_prefix(", "_verified"), ("Ball(", "_verified"),
     }
 
 
@@ -786,13 +809,13 @@ def test_auto_mode_leaves_no_reference_cycle():
 
 
 def test_only_auto_mode_builds_tables_and_one_per_group(monkeypatch):
-    built, prefix = [], geometry._sorted_prefix
+    built, prefix = [], algorithms._sorted_prefix
 
     def counted(dist, cap):
         built.append((id(dist), cap))
         return prefix(dist, cap)
 
-    monkeypatch.setattr(geometry, "_sorted_prefix", counted)
+    monkeypatch.setattr(algorithms, "_sorted_prefix", counted)
     ps = gen_random_uniform(60, 2, 3)
     for fn, colored in _ALGOS:
         obj = ColoredInstance(ps, np.arange(ps.n) % 3) if colored else ps

@@ -349,6 +349,17 @@ def test_cluster_infeasible_exit_3(capsys, tmp_path):
     assert code == 3 and "iteration 0" in err
 
 
+def test_cluster_auto_alpha_one_infeasible_exit_3(capsys, tmp_path):
+    # Three copies of one point: auto mode's alpha = 1 probe fails at the
+    # second iteration, and that probe's error is the command's.
+    pts = tmp_path / "p.txt"
+    pts.write_text("0 0\n0 0\n0 0\n")
+    code, out, err = run(
+        capsys, "cluster", "--algo", "semi", "--k", "2", "--sigma", "1", "--in", str(pts),
+    )
+    assert code == 3 and out == "" and "iteration 1" in err
+
+
 def test_verify_flow_and_tamper(capsys, tmp_path):
     pts = tmp_path / "p.txt"
     cl = tmp_path / "c.json"

@@ -13,7 +13,6 @@ from sepclust import geometry
 from sepclust.geometry import (
     Ball,
     DenseBalls,
-    OrderStatistics,
     PointSet,
     approx_min_ball_alpha,
     closest_pair,
@@ -228,9 +227,9 @@ def test_order_statistics_equal_the_partition_seed():
     zero = inf = False
     for coords in _seed_inputs():
         for dist, cap in _seed_groups(coords):
-            table = OrderStatistics(dist, cap)
+            table = geometry._sorted_prefix(dist, cap)
             for alpha in range(2, cap + 1):
-                got = table.column(alpha)
+                got = table[:, alpha - 1]
                 want = geometry._kth_smallest(dist, alpha - 1)
                 assert got.tobytes() == want.tobytes(), (dist.shape, cap, alpha)
                 zero, inf = zero or not got.all(), inf or np.isinf(got).any()
