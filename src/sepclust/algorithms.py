@@ -38,14 +38,16 @@ auto mode does not promise the largest feasible alpha. Every returned
 clustering is re-verified with ``check_separation`` before it leaves this
 module.
 
-Each auto-mode probe at alpha >= 2 builds its engines afresh, and an
-engine's seed radii are every row's alpha-th smallest distance. In auto
-mode each group therefore carries ``geometry._sorted_prefix`` of its matrix
-(when the cap is at least 2): the first cap order statistics of every row,
-sorted, built with the matrix and read by every probe at alpha >= 2, at the
-cost of 8 n cap bytes beside the matrix for the rest of the call; a call
-whose alpha = 1 probe fails never reads it. An explicit or ``c_override`` alpha makes one probe, whose engines
-partition the rows once, as without a table; it builds none.
+Each auto-mode probe at alpha >= 2 builds its engines afresh, seeded with
+every row's alpha-th smallest distance. In auto mode each group carries
+``geometry._sorted_prefix`` of its matrix (when the cap is at least 2): the
+first cap order statistics of every row, sorted, built with the matrix and
+read by every probe at alpha >= 2, at the cost of 8 n cap bytes beside the
+matrix for the rest of the call; a call whose alpha = 1 probe fails never
+reads it. An explicit or ``c_override`` alpha makes one probe and builds no
+table: its semi engines start from triangle-inequality bounds and partition
+only the rows that a bound cannot rule out, and its quorum clusterings seed
+from one partition of every row.
 
 Exclusion rules are stated on balls. Two balls are treated as sigma-separated
 when the gap between them (center distance minus both radii) is at least
@@ -338,7 +340,7 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
 def _semi_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
     (_, _, dist, table), = groups
     scale = 2.0 * float(cfg.sigma) + 2.0
-    engine = DenseBalls(dist, alpha, table)
+    engine = DenseBalls(dist, alpha, None if table is None else table[:, alpha - 1])
     picks = []
     for it in range(cfg.k):
         if engine.alive.size < alpha:
@@ -350,9 +352,7 @@ def _semi_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
     return picks
 
 
-def semi_separated_k_colored(
-    inst: ColoredInstance, cfg: ExtractionConfig
-) -> Clustering:
+def semi_separated_k_colored(inst: ColoredInstance, cfg: ExtractionConfig) -> Clustering:
     """Colored semi separation: cluster i is a subset of color class i.
 
     Each iteration extracts, for every still-active color, its best
@@ -365,7 +365,7 @@ def semi_separated_k_colored(
 
 def _semi_colored_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
     scale = 2.0 * float(cfg.sigma) + 2.0
-    engines = [DenseBalls(dist, alpha, table) for _, _, dist, table in groups]
+    engines = [DenseBalls(d, alpha, None if t is None else t[:, alpha - 1]) for *_, d, t in groups]
     active = list(range(cfg.k))
     picks = []
     for it in range(cfg.k):
@@ -453,9 +453,7 @@ def _strong_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
     return [(0, centers[t], rads[t], qc.members[cand[t]]) for t in picked]
 
 
-def well_separated_k_colored(
-    inst: ColoredInstance, cfg: ExtractionConfig
-) -> Clustering:
+def well_separated_k_colored(inst: ColoredInstance, cfg: ExtractionConfig) -> Clustering:
     """Colored well separation from per-color quorum clusterings.
 
     Every color is quorum-clustered with quota alpha. The greedy repeatedly

@@ -17,7 +17,6 @@ followed the host's SIMD lanes; there the two may differ in the last bits.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -309,54 +308,54 @@ class DenseBalls:
 
     The candidate radius of an alive center is its alpha-th smallest distance
     to the alive points (self included); the smallest candidate is a
-    2-approximate smallest ball covering alpha alive points. A lazy min-heap
-    holds each center's last computed radius, stamped with the removal count
-    at that time. Removals only grow radii, so the first popped entry with a
-    current stamp is exact and minimal (ties to the smallest index), whatever
-    a caller removes. A stale entry is recomputed by partitioning the
-    center's alive row.
+    2-approximate smallest ball covering alpha alive points. Two arrays hold,
+    per row, a lower bound on its radius and the removal count at which that
+    bound was exact (-1: never). Removals only grow radii, so the first
+    argmin (ties to the smallest index) whose entry is exact at the current
+    count is the minimal (radius, index), whatever a caller removes; any
+    other argmin is made exact by partitioning its alive row. Dead rows
+    read inf; when every alive radius is inf the pick is the smallest alive
+    index.
 
-    The seed radii are column alpha - 1 of ``table``, a ``_sorted_prefix``
-    of ``dist`` shared by the probes of an alpha search, or without one a
-    partition of every row at rank alpha - 1, one row block at a time. Both
-    give the same radii bit for bit. At alpha = 1 every candidate radius is
-    the self distance, 0. The heap is then seeded with zeros in O(n),
-    reading neither, and no entry is ever recomputed: an alive center keeps
-    radius 0 whatever is removed.
+    ``seeds`` are exact radii, a column of ``_sorted_prefix`` or
+    ``_kth_smallest`` of ``dist``. Without them, at alpha = 1 every radius is
+    the self distance 0 and is never recomputed; at alpha = 2 they are
+    ``_kth_smallest``, since there no bound below exceeds 0; at alpha >= 3
+    every bound starts at 0 and each exact radius r_j lifts every row i to
+    r_j - d(i, j) (the triangle inequality), less a slack for rounding and
+    subnormal squares, so a pick partitions only the rows whose bound stays
+    below the smallest radius. An inf radius lifts nothing.
     """
 
-    def __init__(self, dist: np.ndarray, alpha: int, table: Optional[np.ndarray] = None):
+    def __init__(self, dist: np.ndarray, alpha: int, seeds: Optional[np.ndarray] = None):
         n = dist.shape[0]
         self.dist = dist
         self.alpha = int(alpha)
         self.alive = np.arange(n)  # ascending indices of the alive points
         self._live = np.ones(n, dtype=bool)
         self._stamp = 0
-        self._heap = []
-        if self.alpha == 1:
-            # Equal radii and ascending indices: already in heap order.
-            self._heap = [(0.0, i, 0) for i in range(n)]
-        elif n >= self.alpha:
-            if table is None:
-                start = _kth_smallest(dist, self.alpha - 1)
-            else:
-                start = table[:, self.alpha - 1]
-            self._heap = list(zip(start.tolist(), range(n), [0] * n))
-            heapq.heapify(self._heap)
+        if seeds is None and self.alpha == 2 <= n:
+            seeds = _kth_smallest(dist, 1)
+        self._lift = seeds is None and self.alpha > 2
+        self._r = np.zeros(n) if seeds is None else np.array(seeds, dtype=float)
+        self._at = [-1 if self._lift else 0] * n
 
     def smallest(self) -> tuple:
         """(center, radius) of the smallest alpha-ball; needs alpha alive points."""
-        heap, live, stamp, a = self._heap, self._live, self._stamp, self.alpha - 1
+        r, at, a, stamp = self._r, self._at, self.alpha - 1, self._stamp
         while True:
-            r, i, s = heap[0]
-            if not live[i]:
-                heapq.heappop(heap)
-            elif s == stamp or not a:
-                return i, r
-            else:
-                row = self.dist[i][self.alive]
-                row.partition(a)
-                heapq.heapreplace(heap, (float(row[a]), i, stamp))
+            i = int(r.argmin())
+            ri = r.item(i)
+            if ri == math.inf:
+                return int(self.alive[0]), ri
+            if at[i] == stamp or not a:
+                return i, ri
+            row = self.dist[i][self.alive] if stamp else self.dist[i].copy()  # all alive: copy
+            row.partition(a)
+            r[i] = ri = row.item(a)
+            at[i] = stamp
+            if self._lift and ri < math.inf:
+                np.maximum(r, ri * (1.0 - 4e-9) - 2.0**-500 - self.dist[i], out=r)
 
     def nearest(self, center: int, radius: float) -> np.ndarray:
         """The alpha alive points nearest ``center`` (ties by index), ascending;
@@ -372,6 +371,7 @@ class DenseBalls:
     def remove(self, points: np.ndarray) -> None:
         if points.size:
             self._live[points] = False
+            self._r[points] = math.inf
             self.alive = self._live.nonzero()[0]
             self._stamp += 1
 

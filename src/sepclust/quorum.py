@@ -5,8 +5,9 @@ fixed quota of the surviving points, removes exactly that quota, and repeats
 while at least a quota survives (the full steps, ``_quorum_steps``);
 ``quorum_clustering`` then adds one smaller remainder step so that every point
 is covered. The balls come from the dense-ball engine ``geometry.DenseBalls``,
-which reads only the distance matrix and, in auto mode, a sorted prefix of
-its rows (``geometry._sorted_prefix``) for its seed radii. A
+which reads only the distance matrix, seeded with exact radii: in auto mode
+from a sorted prefix of its rows (``geometry._sorted_prefix``), else from one
+partition of every row, since a quorum clustering reads nearly every row. A
 :class:`QuorumClustering` keeps the steps as aligned arrays: step t is
 centered at point ``qc.centers[t]`` with radius ``qc.radii[t]`` and removed
 the sorted indices ``qc.members[t]``. The radius sequence splits greedily
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import REL_TOL, DenseBalls, PointSet, _sq_blocks, pairwise_distances
+from .geometry import REL_TOL, DenseBalls, PointSet, _kth_smallest, _sq_blocks, pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,9 +57,9 @@ def _quorum_steps(
     the survivors and removes its gamma members, the covered points nearest
     the center (ties by index). Steps run while at least gamma points
     survive, so every step holds exactly gamma members, fewer than gamma
-    points are left, and there are no steps when n < gamma. The engine
-    takes its seed radii from column gamma - 1 of ``table`` when given (see
-    ``DenseBalls``).
+    points are left, and there are no steps when n < gamma. The engine's
+    exact seed radii are column gamma - 1 of ``table`` when given, else
+    ``_kth_smallest`` (see ``DenseBalls``).
 
     At gamma = 1 the steps are known in advance and built in O(n): step t is
     point t alone, at radius 0.
@@ -71,7 +72,8 @@ def _quorum_steps(
         # point t, for any input, duplicates included.
         idx = np.arange(dist.shape[0])
         return QuorumClustering(gamma, idx, np.zeros(idx.size), tuple(idx[:, None]))
-    balls = DenseBalls(dist, gamma, table)
+    top = min(gamma, dist.shape[0]) - 1  # with n < gamma no step reads a seed
+    balls = DenseBalls(dist, gamma, _kth_smallest(dist, top) if table is None else table[:, top])
     centers, radii, members = [], [], []
     while balls.alive.size >= gamma:
         center, radius = balls.smallest()

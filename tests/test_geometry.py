@@ -1,4 +1,3 @@
-import heapq
 import math
 import tracemalloc
 from pathlib import Path
@@ -180,17 +179,21 @@ def test_approx_min_ball_two_approximation_sweep():
 
 
 def test_dense_balls_seed_holds_one_row_block():
-    # The seed radii are partitioned block by block into one vector, and a
-    # block's partitioned copy holds at most _BLOCK floats whatever n is; the
-    # seed heap of 2048 entries fits in a second such budget.
+    # The exact seed radii (as _quorum_steps builds them) are partitioned
+    # block by block into one vector, and a block's partitioned copy holds at
+    # most _BLOCK floats whatever n is; the engine's arrays of 2048 entries
+    # fit in a second such budget. A bound-seeded engine's first pick
+    # partitions single rows and stays within the same bound.
     dist = pairwise_distances(np.random.default_rng(4).random((2048, 2)))
-    tracemalloc.start()
-    try:
-        DenseBalls(dist, 7)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * geometry._BLOCK
+    for build in (lambda: DenseBalls(dist, 7, geometry._kth_smallest(dist, 6)),
+                  lambda: DenseBalls(dist, 7).smallest()):
+        tracemalloc.start()
+        try:
+            build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * geometry._BLOCK
 
 
 def _seed_inputs():
@@ -221,9 +224,22 @@ def _seed_groups(coords):
             yield pairwise_distances(c), cap
 
 
+def _pick_sequence(balls):
+    """Every (center, radius, members) the engine picks, removing each
+    pick's members, as one flat array."""
+    out = []
+    while balls.alive.size >= balls.alpha:
+        center, radius = balls.smallest()
+        taken = balls.nearest(center, radius)
+        out += [center, radius, *taken]
+        balls.remove(taken)
+    return np.array(out)
+
+
 def test_order_statistics_equal_the_partition_seed():
-    # Column alpha - 1 of the table is the seed that DenseBalls partitions
-    # for at alpha, bit for bit, at every alpha the table holds.
+    # Column alpha - 1 of the table is the exact seed that _kth_smallest
+    # partitions for at alpha, bit for bit, at every alpha the table holds,
+    # and an engine seeded from it picks what an unseeded engine picks.
     zero = inf = False
     for coords in _seed_inputs():
         for dist, cap in _seed_groups(coords):
@@ -234,8 +250,58 @@ def test_order_statistics_equal_the_partition_seed():
                 assert got.tobytes() == want.tobytes(), (dist.shape, cap, alpha)
                 zero, inf = zero or not got.all(), inf or np.isinf(got).any()
             for alpha in {2, cap // 2 + 1, cap} - {0, 1}:
-                assert DenseBalls(dist, alpha, table)._heap == DenseBalls(dist, alpha)._heap
+                seeded = _pick_sequence(DenseBalls(dist, alpha, table[:, alpha - 1]))
+                assert seeded.tobytes() == _pick_sequence(DenseBalls(dist, alpha)).tobytes()
     assert zero and inf  # duplicate points and distances beyond the double range
+
+
+def _bound_inputs():
+    """The seed inputs, then points about 1e-170 apart (squares below the
+    subnormals), points on a line over 13 decades (rounded differences),
+    rows that mix the 1e-160 and 1e150 scales, and three points on a line
+    whose first and last radii at alpha = 3 are inf."""
+    yield from _seed_inputs()
+    rng = np.random.default_rng(37)
+    yield rng.random((40, 2)) * 1e-170
+    for _ in range(4):
+        yield np.exp(rng.random((90, 1)) * 30)
+    mixed = rng.random((90, 1))
+    mixed[::3] *= 1e-160
+    mixed[1::3] *= 1e150
+    yield mixed
+    yield np.array([[0.0], [2e153], [1.5e154]])
+
+
+@pytest.mark.parametrize("order", ["ball", "random"])
+def test_bound_seeded_engine_picks_as_the_exact_seeded_one(order):
+    # From bound 0 and triangle-inequality lifts, the engine makes the same
+    # picks as one seeded with every exact radius, pick for pick, whatever
+    # is removed: each pick's ball, or random subsets of the alive points.
+    rng = np.random.default_rng(8)
+    inf_radius = False
+    for coords in _bound_inputs():
+        dist = pairwise_distances(coords)
+        n = dist.shape[0]
+        for alpha in sorted(a for a in {3, 4, n // 4 + 1, n // 2, n - 1} if 3 <= a <= n):
+            bound = DenseBalls(dist, alpha)
+            exact = DenseBalls(dist, alpha, geometry._kth_smallest(dist, alpha - 1))
+            first = True
+            while bound.alive.size >= alpha:
+                got, want = bound.smallest(), exact.smallest()
+                assert got == want and type(got[1]) is float, (n, alpha)
+                if first and math.isfinite(want[1]):
+                    ball = approx_min_ball_alpha(PointSet(coords), alpha)
+                    assert ball.radius == want[1]
+                    assert np.array_equal(ball.center, coords[want[0]])
+                first, inf_radius = False, inf_radius or np.isinf(exact._r).any()
+                taken = bound.nearest(*got)
+                assert np.array_equal(taken, exact.nearest(*want))
+                if order == "random":
+                    size = int(rng.integers(1, max(2, bound.alive.size // 3)))
+                    taken = rng.choice(bound.alive, size=size, replace=False)
+                bound.remove(taken)
+                exact.remove(taken)
+    assert inf_radius
 
 
 def test_one_block_d1_kernel_allocates_no_temporary():
@@ -267,12 +333,10 @@ def test_dense_balls_alpha_one_heap_is_the_rank_zero_seed(monkeypatch):
     for coords in _alpha_one_inputs():
         dist = pairwise_distances(coords)
         seed = np.partition(dist, 0, axis=1)[:, 0]
-        expected = list(zip(seed.tolist(), range(len(coords)), [0] * len(coords)))
-        heapq.heapify(expected)
         with monkeypatch.context() as m:
             m.setattr(np, "partition", None)  # the alpha = 1 seed reads no row
             balls = DenseBalls(dist, 1)
-        assert balls._heap == expected
+        assert balls._r.tobytes() == seed.tobytes()
         # removals never lift a radius above 0: the pick is the smallest alive index
         rng = np.random.default_rng(len(coords))
         while balls.alive.size:
@@ -396,7 +460,8 @@ def test_block_budget_carries_no_meaning(monkeypatch, d):
         return [
             dist, pairwise_distances(a, b), pairwise_distances(b, a),
             closest_pair(a), diameter(a), set_distance(a, b), set_distance(b, a),
-            DenseBalls(dist, 5)._heap, qc.centers, qc.radii, max_epoch_depth(qc, ps),
+            geometry._kth_smallest(dist, 4), _pick_sequence(DenseBalls(dist, 5)),
+            qc.centers, qc.radii, max_epoch_depth(qc, ps),
             exact_min_ball_all(few),
             [closest_pair(planted(i, j, a[i], a[i])) for i, j in pairs],
             [diameter(planted(i, j, 2.0**200, -(2.0**200))) for i, j in pairs],
