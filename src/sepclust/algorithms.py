@@ -5,10 +5,10 @@ the dense-ball engine ``geometry.DenseBalls``: the smallest alpha-ball among
 the surviving points, its alpha nearest points, and removal. The rule is
 ``_select_separated``: a greedy pick of sigma-separated balls.
 
-* ``semi_separated_k``: the engine, removing a scaled exclusion ball after
-  each pick; semi separation, cluster size exactly alpha.
-* ``semi_separated_k_colored``: one engine per color; cluster i comes from
-  set i.
+* ``semi_separated_k`` and ``semi_separated_k_colored``: one rule, the
+  smallest ball over the groups' engines, then removal of a scaled
+  exclusion ball; semi separation, cluster size exactly alpha. On colored
+  input a color retires with its pick, so cluster i comes from set i.
 * ``strong_separated_k``: quorum clustering (the engine removing each
   ball's members), densest epoch, then the selector; strong separation.
 * ``well_separated_k_colored``: per-color quorum clusterings merged by the
@@ -17,11 +17,11 @@ the surviving points, its alpha nearest points, and removal. The rule is
 All four share one contract, ``_verified``. It checks the input and builds
 its groups (each color class, or all points): global indices, coordinates,
 distance matrix and, in auto mode, order-statistic table (below). Each
-algorithm supplies only a pick rule ``(groups, cfg, alpha)``, which returns
-picks (group, center, radius, members) indexed within a group and rejects a
-radius beyond the double range. ``_verified`` alone builds the clustering
-from the returned alpha's picks: global indices, clusters ordered by group,
-one ``Ball`` per pick.
+algorithm supplies only a pick rule ``(groups, cfg, alpha)``, the two semi
+ones the same, which returns picks (group, center, radius, members) indexed
+within a group and rejects a radius beyond the double range. ``_verified``
+alone builds the clustering from the returned alpha's picks: global
+indices, clusters ordered by group, one ``Ball`` per pick.
 
 Alpha (the per-cluster size target) is either explicit, derived from a
 caller-supplied constant c, or found automatically by doubling then binary
@@ -60,14 +60,13 @@ corresponding cluster-level separation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .geometry import (
-    REL_TOL, Ball, DenseBalls, PointSet, _distances_to, _sorted_prefix,
+    REL_TOL, Ball, DenseBalls, PointSet, _check_int, _distances_to, _sorted_prefix,
     closest_pair, pairwise_distances, spread,
 )
 from .quorum import _quorum_steps, epochs
@@ -161,12 +160,9 @@ class ExtractionConfig:
 
     def __post_init__(self):
         check_sigma(self.sigma)
-        for name, value in (("k", self.k), ("alpha", self.alpha)):
-            if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.k < 1:
+        if _check_int(self.k, "k") < 1:
             raise ValueError("k must be at least 1")
-        if self.alpha is not None and self.alpha < 1:
+        if self.alpha is not None and _check_int(self.alpha, "alpha") < 1:
             raise ValueError("explicit alpha must be at least 1")
         c = self.c_override
         if c is not None and not (float(c) > 0.0 and math.isfinite(float(c))):
@@ -337,54 +333,46 @@ def semi_separated_k(points: PointSet, cfg: ExtractionConfig) -> Clustering:
     return _verified(points, cfg, SeparationKind.SEMI, False, _semi_picks)
 
 
-def _semi_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
-    (_, _, dist, table), = groups
-    scale = 2.0 * float(cfg.sigma) + 2.0
-    engine = DenseBalls(dist, alpha, None if table is None else table[:, alpha - 1])
-    picks = []
-    for it in range(cfg.k):
-        if engine.alive.size < alpha:
-            raise InsufficientPoints(it)
-        center, r = engine.smallest()
-        picks.append((0, center, _finite(r), engine.nearest(center, r)))
-        alive = engine.alive
-        engine.remove(alive[dist[center][alive] <= scale * r * (1.0 + REL_TOL)])
-    return picks
-
-
 def semi_separated_k_colored(inst: ColoredInstance, cfg: ExtractionConfig) -> Clustering:
     """Colored semi separation: cluster i is a subset of color class i.
 
-    Each iteration extracts, for every still-active color, its best
-    alpha-ball, picks the smallest (ties by color index), retires that color
-    with the alpha covered points nearest the center, and removes points of
-    the remaining active colors inside the (2 sigma + 2)-scaled ball.
+    The rule of ``semi_separated_k``, with one color per pick: each
+    iteration takes the smallest alpha-ball among the still-active colors
+    (ties by color index), retires that color with the alpha covered points
+    nearest the center, and removes the points of the remaining active
+    colors inside the (2 sigma + 2)-scaled ball.
     """
-    return _verified(inst, cfg, SeparationKind.SEMI, True, _semi_colored_picks)
+    return _verified(inst, cfg, SeparationKind.SEMI, True, _semi_picks)
 
 
-def _semi_colored_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
+def _semi_picks(groups, cfg: ExtractionConfig, alpha: int) -> list:
+    """One group serves every pick of plain input; on colored input a group
+    retires with its pick. The exclusion reads the picked group's survivors
+    from its matrix row and measures the other groups' to the center."""
     scale = 2.0 * float(cfg.sigma) + 2.0
     engines = [DenseBalls(d, alpha, None if t is None else t[:, alpha - 1]) for *_, d, t in groups]
-    active = list(range(cfg.k))
+    active = list(range(len(groups)))
     picks = []
     for it in range(cfg.k):
         best = None
-        for c in active:
-            if engines[c].alive.size < alpha:
+        for g in active:
+            if engines[g].alive.size < alpha:
                 raise InsufficientPoints(it)
-            ctr, r = engines[c].smallest()
-            if best is None or (r, c) < best[:2]:
-                best = (r, c, ctr)
-        r, c0, ctr = best
-        picks.append((c0, ctr, _finite(r), engines[c0].nearest(ctr, r)))
-        active.remove(c0)
+            ctr, r = engines[g].smallest()
+            if best is None or r < best[0]:  # ties to the first group
+                best = (r, g, ctr)
+        r, g0, ctr = best
+        picks.append((g0, ctr, _finite(r), engines[g0].nearest(ctr, r)))
+        if len(groups) > 1:
+            active.remove(g0)
         cut = scale * r * (1.0 + REL_TOL)
-        center_pt = groups[c0][1][ctr]
-        for c2 in active:
-            idx2 = engines[c2].alive
-            d2 = _distances_to(groups[c2][1][idx2], center_pt)
-            engines[c2].remove(idx2[d2 <= cut])
+        for g in active:
+            alive = engines[g].alive
+            if g == g0:
+                d = groups[g][2][ctr][alive]
+            else:
+                d = _distances_to(groups[g][1][alive], groups[g0][1][ctr])
+            engines[g].remove(alive[d <= cut])
     return picks
 
 

@@ -18,6 +18,7 @@ followed the host's SIMD lanes; there the two may differ in the last bits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,13 @@ _BUFSIZE = 256
 def _block_rows(m: int) -> int:
     """Rows per block for a scan against ``m`` columns under the budget."""
     return max(1, _BLOCK // max(m, 1))
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` as an int: an integer that is not ``bool``, else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _coerce_coords(coords) -> np.ndarray:
@@ -386,7 +394,7 @@ def approx_min_ball_alpha(ps, alpha: int) -> Ball:
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
     n = ps.n
-    alpha = int(alpha)
+    alpha = _check_int(alpha, "alpha")
     if alpha < 1 or alpha > n:
         raise ValueError(f"alpha must be in [1, {n}], got {alpha}")
     i, r = DenseBalls(pairwise_distances(ps.coords), alpha).smallest()

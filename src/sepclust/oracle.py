@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .algorithms import ColoredInstance
-from .geometry import REL_TOL, PointSet, _sq_blocks, pairwise_distances
+from .geometry import REL_TOL, PointSet, _check_int, _sq_blocks, pairwise_distances
 from .separation import SeparationKind, check_sigma
 
 
@@ -114,7 +114,7 @@ def exact_min_ball_alpha(ps: PointSet, alpha: int, max_n: int = 40) -> float:
     _check_budget(max_n)
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
-    alpha = int(alpha)
+    alpha = _check_int(alpha, "alpha")
     if alpha < 1 or alpha > ps.n:
         raise ValueError(f"alpha must be in [1, {ps.n}], got {alpha}")
     return float(exact_min_ball_all(ps, max_n)[alpha - 1])

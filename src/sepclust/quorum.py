@@ -22,7 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import REL_TOL, DenseBalls, PointSet, _kth_smallest, _sq_blocks, pairwise_distances
+from .geometry import (
+    REL_TOL, DenseBalls, PointSet, _check_int, _kth_smallest, _sq_blocks, pairwise_distances,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +98,7 @@ def quorum_clustering(ps: PointSet, gamma: int) -> QuorumClustering:
     """
     if not isinstance(ps, PointSet):
         ps = PointSet(ps)
-    gamma = int(gamma)
+    gamma = _check_int(gamma, "gamma")
     if gamma < 1 or gamma > ps.n:
         raise ValueError(f"gamma must be in [1, {ps.n}], got {gamma}")
     dist = pairwise_distances(ps.coords)

@@ -710,6 +710,22 @@ def test_semi_colored_engine_matches_naive_reference(k, sigma):
             )
 
 
+def test_semi_one_color_matches_plain_semi_at_k1():
+    # One pick rule serves both: at k = 1 a lone color gives plain semi's
+    # clusters, balls and alpha, explicit or auto.
+    for coords in _semi_differential_inputs():
+        ps = PointSet(coords)
+        inst = ColoredInstance(ps, np.zeros(ps.n, dtype=int))
+        for alpha in [*range(1, ps.n + 1), None]:
+            cfg = ExtractionConfig(sigma=1.0, k=1, alpha=alpha)
+            plain, colored = semi_separated_k(ps, cfg), semi_separated_k_colored(inst, cfg)
+            assert colored.alpha == plain.alpha
+            assert len(colored.clusters) == len(plain.clusters) == 1
+            assert np.array_equal(colored.clusters[0], plain.clusters[0])
+            assert np.array_equal(colored.balls[0].center, plain.balls[0].center)
+            assert colored.balls[0].radius == plain.balls[0].radius
+
+
 @pytest.mark.parametrize(
     "fn", [semi_separated_k, semi_separated_k_colored, well_separated_k_colored]
 )

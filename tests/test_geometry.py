@@ -22,7 +22,7 @@ from sepclust.geometry import (
     spread,
 )
 from sepclust.generators import gen_exponential_line, gen_grid
-from sepclust.oracle import exact_min_ball_all
+from sepclust.oracle import exact_min_ball_all, exact_min_ball_alpha
 from sepclust.quorum import max_epoch_depth, quorum_clustering
 
 finite = st.floats(
@@ -163,6 +163,20 @@ def test_approx_min_ball_alpha_out_of_range():
         approx_min_ball_alpha(ps, 0)
     with pytest.raises(ValueError):
         approx_min_ball_alpha(ps, 3)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "fn,name",
+    [(approx_min_ball_alpha, "alpha"), (quorum_clustering, "gamma"), (exact_min_ball_alpha, "alpha")],
+)
+def test_ball_counts_must_be_integers(fn, name, value):
+    # int() would truncate 2.5 to 2 and read True as 1; ExtractionConfig's
+    # rule applies instead.
+    ps = PointSet([0.0, 1.0, 2.0, 10.0])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        fn(ps, value)
+    fn(ps, np.int64(2))  # a numpy integer is an integer
 
 
 def test_approx_min_ball_two_approximation_sweep():
